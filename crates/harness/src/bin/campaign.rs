@@ -4,34 +4,15 @@
 //! execution and work-stealing shard workers.
 //!
 //! ```text
-//! cargo run -p harness --bin campaign -- list
-//! cargo run -p harness --bin campaign -- run [--scenario ID]... [--filter AXIS=VALUE]...
-//!         [--threads N] [--seed S] [--corpus-size N] [--store PATH] [--json PATH]
-//!         [--csv PATH] [--quiet] [--resume] [--checkpoint-every N] [--progress]
-//! cargo run -p harness --bin campaign -- report [same flags as run]
-//! cargo run -p harness --bin campaign -- gen [--seed S] [--corpus-size N]
-//!         [--filter A=V]... [--disasm]
-//! cargo run -p harness --bin campaign -- plan --shards N --manifest PATH
-//!         [--scenario ID]... [--filter A=V]... [--seed S] [--corpus-size N]
-//!         [--calibrate STORE]
-//! cargo run -p harness --bin campaign -- shard --manifest PATH --index I
-//!         [--store PATH] [--threads N] [--json PATH] [--csv PATH] [--quiet]
-//!         [--steal] [--leases DIR] [--resume] [--checkpoint-every N] [--progress]
-//! cargo run -p harness --bin campaign -- merge --out PATH [--manifest PATH] STORE...
-//! cargo run -p harness --bin campaign -- diff BASELINE COMPARED [--tol METRIC=EPS]...
-//!         [--tol-default EPS] [--quiet]
-//! cargo run -p harness --bin campaign -- gc --store PATH [--dry-run] [--quiet]
-//!         [--seed S] [--corpus-size N] [--max-cells N]
-//! cargo run -p harness --bin campaign -- bench [--quick] [--repeats R] [--out DIR]
-//!         [--check] [--quiet]
-//! cargo run -p harness --bin campaign -- trace FILE
-//! cargo run -p harness --bin campaign -- serve --store PATH [--addr HOST:PORT]
-//!         [--accept-pool N] [--threads N] [--checkpoint-every N]
-//!         [--compact-journal-over N] [--slowlog-over-us N] [--port-file PATH]
-//!         [--trace FILE] [--quiet]
-//! cargo run -p harness --bin campaign -- top (--addr HOST:PORT | --port-file PATH)
-//!         [--interval-ms N] [--once]
+//! cargo run -p harness --bin campaign -- <command> [options]
 //! ```
+//!
+//! Running `campaign` with no arguments prints [`USAGE`], the prose
+//! help for every command and flag. The commands are listed once, in
+//! [`COMMANDS`], and each flag is declared once, in [`FLAGS`]: its
+//! value kind, whether it may repeat, and the commands that read it. A
+//! flag that a command does not read is rejected, never silently
+//! ignored.
 //!
 //! `run` prints per-cell metrics; `report` prints the Table-1/2-style
 //! evidence summary joined against `predictability_core::catalog`.
@@ -59,6 +40,7 @@ use harness::report;
 use harness::serve::{lock as serve_lock, top as serve_top, ServeOptions, Server};
 use harness::store::{self, CompactingJournal, ResultStore};
 use harness::telemetry::{self, Telemetry, TelemetryLog};
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -69,78 +51,233 @@ const EXIT_DIFFERENCES: u8 = 1;
 /// Any error: usage, unknown scenario, unreadable artifact, conflict.
 const EXIT_ERROR: u8 = 2;
 
-struct Options {
-    command: String,
-    scenarios: Vec<String>,
-    filters: Vec<String>,
-    threads: usize,
-    seed: u64,
-    store: Option<PathBuf>,
-    json: Option<PathBuf>,
-    csv: Option<PathBuf>,
-    quiet: bool,
-    // gen flags
-    corpus_size: Option<u32>,
-    disasm: bool,
-    // lifecycle flags
-    dry_run: bool,
-    max_cells: Option<usize>,
-    max_age_days: Option<u64>,
-    compact_journal: bool,
-    // convert flags
-    to: Option<String>,
-    // resume/checkpoint flags
-    resume: bool,
-    checkpoint_every: Option<usize>,
-    compact_journal_over: Option<usize>,
-    progress: bool,
-    // serve flags
-    addr: Option<String>,
-    accept_pool: Option<usize>,
-    port_file: Option<PathBuf>,
-    slowlog_over_us: Option<u64>,
-    // top flags
-    interval_ms: Option<u64>,
-    once: bool,
-    // telemetry sidecar
-    telemetry: bool,
-    // observability
-    trace: Option<PathBuf>,
-    // bench flags
-    quick: bool,
-    repeats: Option<usize>,
-    check: bool,
-    // merge reporting
-    steal_report: bool,
-    // dist flags
-    shards: Option<u32>,
-    index: Option<u32>,
-    manifest: Option<PathBuf>,
-    out: Option<PathBuf>,
-    tols: Vec<String>,
-    tol_default: Option<f64>,
-    rel_default: Option<f64>,
-    sigmas: Option<f64>,
-    // replicate flags
-    replicates: Option<u32>,
-    keep_replicates: bool,
-    calibrate: Option<PathBuf>,
-    steal: bool,
-    leases: Option<PathBuf>,
-    positional: Vec<PathBuf>,
-    /// Every `--flag` seen, for per-command applicability checks.
-    given: Vec<String>,
+/// Command outcome: an exit status, or an error reported on stderr
+/// with [`EXIT_ERROR`].
+type CliResult<T> = Result<T, Box<dyn std::error::Error>>;
+
+/// How a flag's value is read.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// Takes no value: present or absent.
+    Switch,
+    /// A filesystem path.
+    Path,
+    /// Free text (an address, a format name, a clause).
+    Text,
+    /// An integer `>= min`.
+    Int(u64),
+    /// A `u32 >= min`: an out-of-range value errors instead of
+    /// truncating to a different shard, index or count.
+    U32(u32),
+    /// A number `>= 0`.
+    NonNegative,
 }
 
-impl Options {
+impl Kind {
+    fn accepts(self, raw: &str) -> bool {
+        match self {
+            Kind::Switch | Kind::Path | Kind::Text => true,
+            Kind::Int(min) => raw.parse::<u64>().is_ok_and(|n| n >= min),
+            Kind::U32(min) => raw.parse::<u32>().is_ok_and(|n| n >= min),
+            Kind::NonNegative => raw.parse::<f64>().is_ok_and(|x| x >= 0.0),
+        }
+    }
+
+    /// What a rejected value should have been.
+    fn expected(self) -> String {
+        match self {
+            Kind::Int(0) => "an integer".into(),
+            Kind::U32(0) => "a small integer".into(),
+            Kind::Int(min) => format!("an integer >= {min}"),
+            Kind::U32(min) => format!("an integer >= {min}"),
+            Kind::NonNegative => "a number >= 0".into(),
+            Kind::Switch | Kind::Path | Kind::Text => unreachable!("accepts every value"),
+        }
+    }
+}
+
+/// One row of the flag table.
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    /// Whether the flag may be given more than once (its values
+    /// accumulate); any other flag given twice is an error.
+    repeats: bool,
+    /// The commands that read the flag. Every other command rejects
+    /// it rather than silently ignoring it — `shard --seed 7` runs with
+    /// the *manifest's* seed, and accepting the flag would misattribute
+    /// the results.
+    commands: &'static [&'static str],
+}
+
+const fn flag(name: &'static str, kind: Kind, commands: &'static [&'static str]) -> Flag {
+    Flag {
+        name,
+        kind,
+        repeats: false,
+        commands,
+    }
+}
+
+const fn repeated(name: &'static str, kind: Kind, commands: &'static [&'static str]) -> Flag {
+    Flag {
+        name,
+        kind,
+        repeats: true,
+        commands,
+    }
+}
+
+/// Runs one command to its exit status.
+type Command = fn(&Args) -> CliResult<u8>;
+
+/// Every command and the function that runs it.
+const COMMANDS: &[(&str, Command)] = &[
+    ("list", list),
+    ("run", run_or_report),
+    ("report", run_or_report),
+    ("gen", gen),
+    ("plan", plan),
+    ("shard", shard),
+    ("merge", merge),
+    ("diff", diff),
+    ("gc", gc),
+    ("convert", convert),
+    ("bench", bench_cmd),
+    ("trace", trace_cmd),
+    ("serve", serve_cmd),
+    ("top", top_cmd),
+];
+/// The commands that take path arguments besides flags.
+const TAKES_PATHS: &[&str] = &["merge", "diff", "trace"];
+
+/// Every flag of every command, declared once.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    repeated("--scenario", Kind::Text, &["run", "report", "plan"]),
+    repeated("--filter", Kind::Text, &["run", "report", "gen", "plan"]),
+    flag("--threads", Kind::Int(0), &["run", "report", "shard", "serve"]),
+    flag("--seed", Kind::Int(0), &["list", "run", "report", "gen", "plan", "gc"]),
+    flag("--corpus-size", Kind::U32(1), &["list", "run", "report", "gen", "plan", "gc"]),
+    flag("--store", Kind::Path, &["run", "report", "shard", "gc", "convert", "serve"]),
+    flag("--json", Kind::Path, &["run", "report", "shard"]),
+    flag("--csv", Kind::Path, &["run", "report", "shard"]),
+    flag("--quiet", Kind::Switch, &[
+        "run", "report", "plan", "shard", "merge", "diff", "gc", "convert", "bench", "serve",
+    ]),
+    flag("--resume", Kind::Switch, &["run", "report", "shard"]),
+    flag("--checkpoint-every", Kind::Int(1), &["run", "report", "shard", "serve"]),
+    flag("--compact-journal-over", Kind::Int(1), &["run", "report", "shard", "serve"]),
+    flag("--progress", Kind::Switch, &["run", "report", "shard"]),
+    flag("--telemetry", Kind::Switch, &["run", "report", "shard"]),
+    flag("--trace", Kind::Path, &["run", "report", "shard", "merge", "serve"]),
+    flag("--replicates", Kind::U32(1), &["run", "report", "plan"]),
+    flag("--keep-replicates", Kind::Switch, &["run", "report", "merge"]),
+    flag("--disasm", Kind::Switch, &["gen"]),
+    flag("--shards", Kind::U32(0), &["plan"]),
+    flag("--manifest", Kind::Path, &["plan", "shard", "merge"]),
+    flag("--calibrate", Kind::Path, &["plan"]),
+    flag("--index", Kind::U32(0), &["shard"]),
+    flag("--steal", Kind::Switch, &["shard"]),
+    flag("--leases", Kind::Path, &["shard", "merge"]),
+    flag("--out", Kind::Path, &["merge", "bench", "convert"]),
+    flag("--report", Kind::Switch, &["merge"]),
+    repeated("--tol", Kind::Text, &["diff"]),
+    flag("--tol-default", Kind::NonNegative, &["diff"]),
+    flag("--rel", Kind::NonNegative, &["diff"]),
+    flag("--sigmas", Kind::NonNegative, &["diff"]),
+    flag("--dry-run", Kind::Switch, &["gc"]),
+    flag("--max-cells", Kind::Int(0), &["gc"]),
+    flag("--max-age-days", Kind::Int(0), &["gc"]),
+    flag("--compact-journal", Kind::Switch, &["gc"]),
+    flag("--to", Kind::Text, &["convert"]),
+    flag("--quick", Kind::Switch, &["bench"]),
+    flag("--repeats", Kind::Int(1), &["bench"]),
+    flag("--check", Kind::Switch, &["bench"]),
+    flag("--addr", Kind::Text, &["serve", "top"]),
+    flag("--accept-pool", Kind::Int(1), &["serve"]),
+    flag("--slowlog-over-us", Kind::Int(0), &["serve"]),
+    flag("--port-file", Kind::Path, &["serve", "top"]),
+    flag("--interval-ms", Kind::Int(50), &["top"]),
+    flag("--once", Kind::Switch, &["top"]),
+];
+
+/// A parsed command line: the command, every given flag's values
+/// (checked against its [`Kind`] by [`parse`]) and the path arguments.
+/// The typed getters read a value back by flag name.
+struct Args {
+    command: &'static str,
+    run: Command,
+    given: BTreeMap<&'static str, Vec<String>>,
+    positional: Vec<PathBuf>,
+}
+
+impl Args {
+    fn values(&self, name: &str) -> &[String] {
+        debug_assert!(FLAGS.iter().any(|f| f.name == name), "no flag {name}");
+        self.given.get(name).map_or(&[], Vec::as_slice)
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        !self.values(name).is_empty()
+    }
+
+    fn text(&self, name: &str) -> Option<&str> {
+        self.values(name).first().map(String::as_str)
+    }
+
+    fn path(&self, name: &str) -> Option<&Path> {
+        self.text(name).map(Path::new)
+    }
+
+    /// A value [`parse`] already checked against the flag's kind.
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.text(name)
+            .map(|raw| raw.parse().ok().expect("checked by parse"))
+    }
+
+    fn u64(&self, name: &str) -> Option<u64> {
+        self.parsed(name)
+    }
+
+    fn usize(&self, name: &str) -> Option<usize> {
+        self.u64(name).map(|n| n as usize)
+    }
+
+    fn u32(&self, name: &str) -> Option<u32> {
+        self.parsed(name)
+    }
+
+    fn f64(&self, name: &str) -> Option<f64> {
+        self.parsed(name)
+    }
+
+    fn seed(&self) -> u64 {
+        self.u64("--seed").unwrap_or(0)
+    }
+
+    fn threads(&self) -> usize {
+        self.usize("--threads")
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+    }
+
+    fn quiet(&self) -> bool {
+        self.switch("--quiet")
+    }
+
+    /// The generated-program corpus of the campaign seed and
+    /// `--corpus-size`.
+    fn corpus(&self) -> GenOptions {
+        GenOptions {
+            corpus_size: self.u32("--corpus-size").unwrap_or(DEFAULT_CORPUS_SIZE),
+            corpus_seed: self.seed(),
+        }
+    }
+
     /// The registry the campaign-building commands run against: the
-    /// built-ins plus the gen scenarios over a corpus derived from the
-    /// campaign seed and `--corpus-size`.
+    /// built-ins plus the gen scenarios over [`Self::corpus`].
     fn registry(&self) -> Registry {
-        Registry::builtin_with(&GenOptions {
-            corpus_size: self.corpus_size.unwrap_or(DEFAULT_CORPUS_SIZE),
-            corpus_seed: self.seed,
-        })
+        Registry::builtin_with(&self.corpus())
     }
 }
 
@@ -339,366 +476,78 @@ always-on campaign serving:
 exit status: 0 success; 1 diff found differences; 2 error
 ";
 
-fn parse(mut args: std::env::Args) -> Result<Options, String> {
-    let _argv0 = args.next();
-    let command = args.next().ok_or_else(|| USAGE.to_string())?;
-    let mut options = Options {
-        command,
-        scenarios: Vec::new(),
-        filters: Vec::new(),
-        threads: std::thread::available_parallelism().map_or(1, usize::from),
-        seed: 0,
-        store: None,
-        json: None,
-        csv: None,
-        quiet: false,
-        corpus_size: None,
-        disasm: false,
-        dry_run: false,
-        max_cells: None,
-        max_age_days: None,
-        compact_journal: false,
-        to: None,
-        resume: false,
-        checkpoint_every: None,
-        compact_journal_over: None,
-        progress: false,
-        addr: None,
-        accept_pool: None,
-        port_file: None,
-        slowlog_over_us: None,
-        interval_ms: None,
-        once: false,
-        telemetry: false,
-        trace: None,
-        quick: false,
-        repeats: None,
-        check: false,
-        steal_report: false,
-        shards: None,
-        index: None,
-        manifest: None,
-        out: None,
-        tols: Vec::new(),
-        tol_default: None,
-        rel_default: None,
-        sigmas: None,
-        replicates: None,
-        keep_replicates: false,
-        calibrate: None,
-        steal: false,
-        leases: None,
-        positional: Vec::new(),
-        given: Vec::new(),
+/// Parses argv against [`FLAGS`]: an unknown command or flag, a flag
+/// the command does not read, a missing or ill-typed value, a second
+/// value for a flag that does not repeat, and a stray path argument are
+/// all errors.
+fn parse(mut argv: impl Iterator<Item = String>) -> CliResult<Args> {
+    let _argv0 = argv.next();
+    let name = argv.next().ok_or(USAGE)?;
+    let Some(&(command, run)) = COMMANDS.iter().find(|(command, _)| *command == name) else {
+        return Err(format!("unknown command `{name}`\n\n{USAGE}").into());
     };
-    while let Some(flag) = args.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            args.next().ok_or(format!("{flag} needs a value"))
-        };
-        let number = |flag: &str, raw: String| -> Result<u64, String> {
-            raw.parse().map_err(|_| format!("{flag} needs an integer"))
-        };
-        // u32 flags parse as u32 directly: an out-of-range value must
-        // error, not silently truncate to a different shard/index.
-        let small = |flag: &str, raw: String| -> Result<u32, String> {
-            raw.parse()
-                .map_err(|_| format!("{flag} needs a small integer"))
-        };
-        if flag.starts_with("--") {
-            options.given.push(flag.clone());
+    let mut args = Args {
+        command,
+        run,
+        given: BTreeMap::new(),
+        positional: Vec::new(),
+    };
+    while let Some(arg) = argv.next() {
+        if !arg.starts_with("--") {
+            if !TAKES_PATHS.contains(&args.command) {
+                return Err(format!("unexpected argument `{arg}`\n\n{USAGE}").into());
+            }
+            args.positional.push(PathBuf::from(arg));
+            continue;
         }
-        match flag.as_str() {
-            "--scenario" => options.scenarios.push(value("--scenario")?),
-            "--filter" => options.filters.push(value("--filter")?),
-            "--threads" => {
-                options.threads = number("--threads", value("--threads")?)? as usize;
-            }
-            "--seed" => options.seed = number("--seed", value("--seed")?)?,
-            "--store" => options.store = Some(PathBuf::from(value("--store")?)),
-            "--json" => options.json = Some(PathBuf::from(value("--json")?)),
-            "--csv" => options.csv = Some(PathBuf::from(value("--csv")?)),
-            "--quiet" => options.quiet = true,
-            "--corpus-size" => {
-                options.corpus_size = Some(
-                    small("--corpus-size", value("--corpus-size")?)
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .ok_or("--corpus-size needs an integer >= 1")?,
-                )
-            }
-            "--disasm" => options.disasm = true,
-            "--dry-run" => options.dry_run = true,
-            "--max-cells" => {
-                options.max_cells = Some(number("--max-cells", value("--max-cells")?)? as usize)
-            }
-            "--max-age-days" => {
-                options.max_age_days = Some(number("--max-age-days", value("--max-age-days")?)?)
-            }
-            "--compact-journal" => options.compact_journal = true,
-            "--to" => options.to = Some(value("--to")?),
-            "--telemetry" => options.telemetry = true,
-            "--trace" => options.trace = Some(PathBuf::from(value("--trace")?)),
-            "--quick" => options.quick = true,
-            "--check" => options.check = true,
-            "--repeats" => {
-                options.repeats = Some(
-                    number("--repeats", value("--repeats")?)
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .ok_or("--repeats needs an integer >= 1")? as usize,
-                )
-            }
-            "--report" => options.steal_report = true,
-            "--resume" => options.resume = true,
-            "--checkpoint-every" => {
-                options.checkpoint_every = Some(
-                    number("--checkpoint-every", value("--checkpoint-every")?)
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .ok_or("--checkpoint-every needs an integer >= 1")?
-                        as usize,
-                )
-            }
-            "--compact-journal-over" => {
-                options.compact_journal_over = Some(
-                    number("--compact-journal-over", value("--compact-journal-over")?)
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .ok_or("--compact-journal-over needs an integer >= 1")?
-                        as usize,
-                )
-            }
-            "--progress" => options.progress = true,
-            "--addr" => options.addr = Some(value("--addr")?),
-            "--accept-pool" => {
-                options.accept_pool = Some(
-                    number("--accept-pool", value("--accept-pool")?)
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .ok_or("--accept-pool needs an integer >= 1")? as usize,
-                )
-            }
-            "--port-file" => options.port_file = Some(PathBuf::from(value("--port-file")?)),
-            "--slowlog-over-us" => {
-                options.slowlog_over_us =
-                    Some(number("--slowlog-over-us", value("--slowlog-over-us")?)?)
-            }
-            "--interval-ms" => {
-                options.interval_ms = Some(
-                    number("--interval-ms", value("--interval-ms")?)
-                        .ok()
-                        .filter(|n| *n >= 50)
-                        .ok_or("--interval-ms needs an integer >= 50")?,
-                )
-            }
-            "--once" => options.once = true,
-            "--calibrate" => options.calibrate = Some(PathBuf::from(value("--calibrate")?)),
-            "--steal" => options.steal = true,
-            "--leases" => options.leases = Some(PathBuf::from(value("--leases")?)),
-            "--shards" => options.shards = Some(small("--shards", value("--shards")?)?),
-            "--index" => options.index = Some(small("--index", value("--index")?)?),
-            "--manifest" => options.manifest = Some(PathBuf::from(value("--manifest")?)),
-            "--out" => options.out = Some(PathBuf::from(value("--out")?)),
-            "--tol" => options.tols.push(value("--tol")?),
-            "--tol-default" => {
-                options.tol_default = Some(
-                    value("--tol-default")?
-                        .parse()
-                        .ok()
-                        .filter(|eps: &f64| *eps >= 0.0)
-                        .ok_or("--tol-default needs a number >= 0")?,
-                );
-            }
-            "--rel" => {
-                options.rel_default = Some(
-                    value("--rel")?
-                        .parse()
-                        .ok()
-                        .filter(|eps: &f64| *eps >= 0.0)
-                        .ok_or("--rel needs a number >= 0")?,
-                );
-            }
-            "--sigmas" => {
-                options.sigmas = Some(
-                    value("--sigmas")?
-                        .parse()
-                        .ok()
-                        .filter(|s: &f64| *s >= 0.0)
-                        .ok_or("--sigmas needs a number >= 0")?,
-                );
-            }
-            "--replicates" => {
-                options.replicates = Some(
-                    small("--replicates", value("--replicates")?)
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .ok_or("--replicates needs an integer >= 1")?,
-                )
-            }
-            "--keep-replicates" => options.keep_replicates = true,
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag `{other}`\n\n{USAGE}"))
-            }
-            path => options.positional.push(PathBuf::from(path)),
+        let Some(flag) = FLAGS.iter().find(|f| f.name == arg) else {
+            return Err(format!("unknown flag `{arg}`\n\n{USAGE}").into());
+        };
+        if !flag.commands.contains(&args.command) {
+            return Err(format!("`{arg}` does not apply to `{}`\n\n{USAGE}", args.command).into());
         }
+        let value = match flag.kind {
+            Kind::Switch => String::new(),
+            kind => {
+                // A value never starts with `--`: `--store --quiet` is a
+                // missing store path, not a store named `--quiet`.
+                let raw = argv
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or(format!("{arg} needs a value"))?;
+                if !kind.accepts(&raw) {
+                    return Err(format!("{arg} needs {}", kind.expected()).into());
+                }
+                raw
+            }
+        };
+        let values = args.given.entry(flag.name).or_default();
+        if !values.is_empty() && !flag.repeats {
+            return Err(format!("{arg} given twice (it takes one value)").into());
+        }
+        values.push(value);
     }
-    Ok(options)
+    Ok(args)
 }
 
 fn main() -> ExitCode {
-    match parse(std::env::args()) {
+    match parse(std::env::args()).and_then(|args| (args.run)(&args)) {
+        Ok(code) => ExitCode::from(code),
         Err(message) => {
-            eprintln!("{message}");
+            eprintln!("campaign: {message}");
             ExitCode::from(EXIT_ERROR)
         }
-        Ok(options) => match run(options) {
-            Ok(code) => ExitCode::from(code),
-            Err(message) => {
-                eprintln!("campaign: {message}");
-                ExitCode::from(EXIT_ERROR)
-            }
-        },
     }
 }
 
-fn run(options: Options) -> Result<u8, String> {
-    // Flags a subcommand does not read are rejected, not silently
-    // ignored — `shard --seed 7` runs with the *manifest's* seed, and
-    // accepting the flag would misattribute the results.
-    let allowed: &[&str] = match options.command.as_str() {
-        "list" => &["--seed", "--corpus-size"],
-        "run" | "report" => &[
-            "--scenario",
-            "--filter",
-            "--threads",
-            "--seed",
-            "--corpus-size",
-            "--store",
-            "--json",
-            "--csv",
-            "--quiet",
-            "--resume",
-            "--checkpoint-every",
-            "--compact-journal-over",
-            "--progress",
-            "--telemetry",
-            "--trace",
-            "--replicates",
-            "--keep-replicates",
-        ],
-        "gen" => &["--seed", "--corpus-size", "--filter", "--disasm"],
-        "plan" => &[
-            "--scenario",
-            "--filter",
-            "--seed",
-            "--corpus-size",
-            "--shards",
-            "--manifest",
-            "--calibrate",
-            "--replicates",
-            "--quiet",
-        ],
-        "shard" => &[
-            "--manifest",
-            "--index",
-            "--threads",
-            "--store",
-            "--json",
-            "--csv",
-            "--quiet",
-            "--steal",
-            "--leases",
-            "--resume",
-            "--checkpoint-every",
-            "--compact-journal-over",
-            "--progress",
-            "--telemetry",
-            "--trace",
-        ],
-        "merge" => &[
-            "--out",
-            "--manifest",
-            "--report",
-            "--leases",
-            "--keep-replicates",
-            "--quiet",
-            "--trace",
-        ],
-        "bench" => &["--quick", "--repeats", "--out", "--check", "--quiet"],
-        "trace" => &[],
-        "diff" => &["--tol", "--tol-default", "--rel", "--sigmas", "--quiet"],
-        "gc" => &[
-            "--store",
-            "--dry-run",
-            "--seed",
-            "--corpus-size",
-            "--max-cells",
-            "--max-age-days",
-            "--compact-journal",
-            "--quiet",
-        ],
-        "convert" => &["--store", "--to", "--out", "--quiet"],
-        "serve" => &[
-            "--store",
-            "--addr",
-            "--accept-pool",
-            "--threads",
-            "--checkpoint-every",
-            "--compact-journal-over",
-            "--slowlog-over-us",
-            "--port-file",
-            "--trace",
-            "--quiet",
-        ],
-        "top" => &["--addr", "--port-file", "--interval-ms", "--once"],
-        other => return Err(format!("unknown command `{other}`\n\n{USAGE}")),
-    };
-    if let Some(flag) = options
-        .given
-        .iter()
-        .find(|f| !allowed.contains(&f.as_str()))
-    {
-        return Err(format!(
-            "`{flag}` does not apply to `{}`\n\n{USAGE}",
-            options.command
-        ));
-    }
-    if !matches!(options.command.as_str(), "merge" | "diff" | "trace")
-        && !options.positional.is_empty()
-    {
-        return Err(format!(
-            "unexpected argument `{}`\n\n{USAGE}",
-            options.positional[0].display()
-        ));
-    }
-    match options.command.as_str() {
-        "list" => {
-            print!("{}", report::list_scenarios(&options.registry()));
-            Ok(0)
-        }
-        "run" | "report" => run_or_report(&options.registry(), &options),
-        "gen" => gen(&options),
-        "plan" => plan(&options.registry(), &options),
-        "shard" => shard(&options),
-        "merge" => merge(&options),
-        "diff" => diff(&options),
-        "gc" => gc(&options.registry(), &options),
-        "convert" => convert(&options),
-        "bench" => bench_cmd(&options),
-        "trace" => trace_cmd(&options),
-        "serve" => serve_cmd(&options),
-        "top" => top_cmd(&options),
-        _ => unreachable!("validated above"),
-    }
+fn list(args: &Args) -> CliResult<u8> {
+    print!("{}", report::list_scenarios(&args.registry()));
+    Ok(0)
 }
 
-fn gen(options: &Options) -> Result<u8, String> {
-    let filter = Filter::parse(&options.filters)?;
-    let corpus = GenOptions {
-        corpus_size: options.corpus_size.unwrap_or(DEFAULT_CORPUS_SIZE),
-        corpus_seed: options.seed,
-    }
-    .corpus();
+fn gen(args: &Args) -> CliResult<u8> {
+    let filter = Filter::parse(args.values("--filter"))?;
+    let corpus = args.corpus().corpus();
     // Same typo guard as campaign runs: a clause on an axis the corpus
     // does not declare would be vacuously satisfied and silently print
     // the full (wrong) listing.
@@ -708,28 +557,27 @@ fn gen(options: &Options) -> Result<u8, String> {
             return Err(format!(
                 "filter axis `{axis}` is not a corpus axis ({})",
                 known.join(", ")
-            ));
+            )
+            .into());
         }
     }
     print!(
         "{}",
-        report::corpus_summary(&corpus, &filter, options.disasm)
+        report::corpus_summary(&corpus, &filter, args.switch("--disasm"))
     );
     Ok(0)
 }
 
-fn gc(registry: &Registry, options: &Options) -> Result<u8, String> {
-    let path = options.store.as_deref().ok_or("gc needs --store PATH")?;
+fn gc(args: &Args) -> CliResult<u8> {
+    let registry = args.registry();
+    let path = args.path("--store").ok_or("gc needs --store PATH")?;
     if !path.exists() {
-        return Err(format!("no such store: {}", path.display()));
+        return Err(format!("no such store: {}", path.display()).into());
     }
     // A live `campaign serve` checkpoints this store on its own
     // schedule: rewriting it underneath the daemon would race. A dead
     // daemon's lock is stale — report it and proceed.
-    report_stale_lock(
-        serve_lock::refuse_if_live(path, "gc").map_err(|e| e.to_string())?,
-        path,
-    );
+    report_stale_lock(serve_lock::refuse_if_live(path, "gc")?, path);
     // A journal sidecar holds cells the store file does not: gc'ing the
     // store alone would be silently undone by the next `--resume`,
     // which replays every journaled cell — evicted ones included —
@@ -737,13 +585,14 @@ fn gc(registry: &Registry, options: &Options) -> Result<u8, String> {
     let journal = store::journal_path(path);
     let mut doc = load_store_doc(path)?;
     if journal.exists() {
-        if !options.compact_journal {
+        if !args.switch("--compact-journal") {
             return Err(format!(
                 "store has a journal sidecar ({}): gc would be undone by a later --resume \
                  replaying evicted cells back in — pass --compact-journal to fold the journal \
                  into the store first, or finish the campaign it belongs to",
                 journal.display()
-            ));
+            )
+            .into());
         }
         // An old-schema checkpoint loads *empty* through
         // open_resumable: compacting it would overwrite the file with
@@ -758,14 +607,15 @@ fn gc(registry: &Registry, options: &Options) -> Result<u8, String> {
                 path.display(),
                 store::SCHEMA_VERSION,
                 journal.display()
-            ));
+            )
+            .into());
         }
-        let (resumed, replayed) = ResultStore::open_resumable(path).map_err(|e| e.to_string())?;
+        let (resumed, replayed) = ResultStore::open_resumable(path)?;
         // The gc report below must describe the real store + journal
         // union, not the stale checkpoint alone.
         doc = resumed.to_json();
-        if options.dry_run {
-            if !options.quiet {
+        if args.switch("--dry-run") {
+            if !args.quiet() {
                 println!(
                     "journal would be compacted into {} ({replayed} cells) — dry run, \
                      nothing written",
@@ -773,46 +623,46 @@ fn gc(registry: &Registry, options: &Options) -> Result<u8, String> {
                 );
             }
         } else {
-            resumed.checkpoint(path).map_err(|e| e.to_string())?;
-            if !options.quiet {
+            resumed.checkpoint(path)?;
+            if !args.quiet() {
                 println!(
                     "journal compacted into {} ({replayed} cells replayed)",
                     path.display()
                 );
             }
         }
-    } else if options.compact_journal && !options.quiet {
+    } else if args.switch("--compact-journal") && !args.quiet() {
         println!("no journal sidecar to compact");
     }
-    let age_policy = match options.max_age_days {
+    let age_policy = match args.u64("--max-age-days") {
         None => None,
         Some(days) => {
             let sidecar = telemetry::telemetry_path(path);
-            if !sidecar.exists() && !options.quiet {
+            if !sidecar.exists() && !args.quiet() {
                 eprintln!(
                     "note: no telemetry sidecar at {} — every cell counts as oldest \
                      under --max-age-days {days}",
                     sidecar.display()
                 );
             }
-            Some((Telemetry::load(&sidecar).map_err(|e| e.to_string())?, days))
+            Some((Telemetry::load(&sidecar)?, days))
         }
     };
     let limits = store::GcLimits {
-        max_cells: options.max_cells,
+        max_cells: args.usize("--max-cells"),
         max_age: age_policy.as_ref().map(|(telemetry, days)| store::MaxAge {
             telemetry,
             now_ms: telemetry::now_ms(),
             max_age_ms: (*days as f64 * store::MS_PER_DAY) as u64,
         }),
     };
-    let (kept, outcome) = store::gc(&doc, registry, &limits).map_err(|e| e.to_string())?;
-    if !options.quiet || !outcome.dropped.is_empty() {
-        print!("{}", report::gc_summary(&outcome, options.dry_run));
+    let (kept, outcome) = store::gc(&doc, &registry, &limits)?;
+    if !args.quiet() || !outcome.dropped.is_empty() {
+        print!("{}", report::gc_summary(&outcome, args.switch("--dry-run")));
     }
-    if !options.dry_run {
-        kept.save(path).map_err(|e| e.to_string())?;
-        if !options.quiet {
+    if !args.switch("--dry-run") {
+        kept.save(path)?;
+        if !args.quiet() {
             println!("store rewritten: {}", path.display());
         }
         // Prune the telemetry sidecar alongside the store: entries of
@@ -821,12 +671,10 @@ fn gc(registry: &Registry, options: &Options) -> Result<u8, String> {
         // fingerprint).
         let sidecar = telemetry::telemetry_path(path);
         if sidecar.exists() && !outcome.dropped.is_empty() {
-            let mut telemetry = Telemetry::load(&sidecar).map_err(|e| e.to_string())?;
+            let mut telemetry = Telemetry::load(&sidecar)?;
             telemetry.retain(|fp| kept.contains(fp));
-            telemetry
-                .save_compacted(&sidecar)
-                .map_err(|e| e.to_string())?;
-            if !options.quiet {
+            telemetry.save_compacted(&sidecar)?;
+            if !args.quiet() {
                 println!("telemetry sidecar compacted: {}", sidecar.display());
             }
         }
@@ -859,40 +707,28 @@ fn load_store_doc(path: &Path) -> Result<Json, String> {
 /// `campaign convert --store PATH --to bin|json [--out PATH]`: rewrite
 /// a checkpoint in the other format. Lossless and canonical in both
 /// directions — `json -> bin -> json` reproduces the original bytes.
-fn convert(options: &Options) -> Result<u8, String> {
-    let path = options
-        .store
-        .as_deref()
-        .ok_or("convert needs --store PATH")?;
-    let target = match options.to.as_deref() {
+fn convert(args: &Args) -> CliResult<u8> {
+    let path = args.path("--store").ok_or("convert needs --store PATH")?;
+    let target = match args.text("--to") {
         Some("bin") => store::StoreFormat::Binary,
         Some("json") => store::StoreFormat::Json,
-        Some(other) => return Err(format!("--to must be `bin` or `json`, not `{other}`")),
-        None => return Err("convert needs --to bin|json".to_string()),
+        Some(other) => return Err(format!("--to must be `bin` or `json`, not `{other}`").into()),
+        None => return Err("convert needs --to bin|json".into()),
     };
     if !path.exists() {
-        return Err(format!("no such store: {}", path.display()));
+        return Err(format!("no such store: {}", path.display()).into());
     }
-    let out = options.out.as_deref().unwrap_or(path);
+    let out = args.path("--out").unwrap_or(path);
     // Rewriting a store a live daemon owns would race its checkpoints;
     // same rule as gc/merge. A dead daemon's lock is stale — report it
     // and proceed.
-    report_stale_lock(
-        serve_lock::refuse_if_live(path, "convert").map_err(|e| e.to_string())?,
-        path,
-    );
+    report_stale_lock(serve_lock::refuse_if_live(path, "convert")?, path);
     if out != path {
-        report_stale_lock(
-            serve_lock::refuse_if_live(out, "convert").map_err(|e| e.to_string())?,
-            out,
-        );
+        report_stale_lock(serve_lock::refuse_if_live(out, "convert")?, out);
     }
-    let opened = ResultStore::open_any(path).map_err(|e| e.to_string())?;
-    opened
-        .store
-        .save_as(out, target)
-        .map_err(|e| e.to_string())?;
-    if !options.quiet {
+    let opened = ResultStore::open_any(path)?;
+    opened.store.save_as(out, target)?;
+    if !args.quiet() {
         println!(
             "converted {} ({} cells, {} -> {}) into {}",
             path.display(),
@@ -927,44 +763,43 @@ struct Session {
 }
 
 impl Session {
-    fn open(options: &Options) -> Result<Session, String> {
-        let journaling = options.resume || options.checkpoint_every.is_some();
-        if journaling && options.store.is_none() {
+    fn open(args: &Args) -> CliResult<Session> {
+        let journaling = args.switch("--resume") || args.usize("--checkpoint-every").is_some();
+        if journaling && args.path("--store").is_none() {
             return Err("--resume and --checkpoint-every need --store PATH".into());
         }
         // The threshold only means something against an active journal:
         // accepting it alone would silently run without any journaling.
-        if options.compact_journal_over.is_some() && options.checkpoint_every.is_none() {
+        if args.usize("--compact-journal-over").is_some()
+            && args.usize("--checkpoint-every").is_none()
+        {
             return Err(
                 "--compact-journal-over needs --checkpoint-every (it bounds the journal \
                  that flag appends to)"
                     .into(),
             );
         }
-        if options.telemetry && options.store.is_none() {
+        if args.switch("--telemetry") && args.path("--store").is_none() {
             return Err("--telemetry needs --store PATH (the sidecar lives beside it)".into());
         }
         // The recorder opens first so store load / journal replay below
         // already appear in the trace.
-        let obs = match &options.trace {
-            Some(path) => Some(Obs::with_trace(path).map_err(|e| e.to_string())?),
-            None => None,
-        };
-        let (store, replayed) = match (&options.store, options.resume) {
-            (Some(path), true) => ResultStore::open_resumable_observed(path, obs.as_ref())
-                .map_err(|e| e.to_string())?,
-            (Some(path), false) => (ResultStore::load(path).map_err(|e| e.to_string())?, 0),
+        let obs = args.path("--trace").map(Obs::with_trace).transpose()?;
+        let (store, replayed) = match (args.path("--store"), args.switch("--resume")) {
+            (Some(path), true) => {
+                ResultStore::open_resumable_full(path, obs.as_ref()).map(|(o, n)| (o.store, n))?
+            }
+            (Some(path), false) => (ResultStore::load(path)?, 0),
             (None, _) => (ResultStore::new(), 0),
         };
-        let journal = match (&options.store, journaling) {
+        let journal = match (args.path("--store"), journaling) {
             (Some(path), true) => {
                 let mut journal = CompactingJournal::open(
                     path,
-                    options.checkpoint_every.unwrap_or(1),
-                    options.compact_journal_over,
+                    args.usize("--checkpoint-every").unwrap_or(1),
+                    args.usize("--compact-journal-over"),
                     &store,
-                )
-                .map_err(|e| e.to_string())?;
+                )?;
                 if let Some(obs) = &obs {
                     journal.observe(obs);
                 }
@@ -972,15 +807,13 @@ impl Session {
             }
             _ => None,
         };
-        let telemetry = match (&options.store, options.telemetry) {
+        let telemetry = match (args.path("--store"), args.switch("--telemetry")) {
             (Some(path), true) => {
                 let mut log = TelemetryLog::open(
                     path,
-                    options
-                        .checkpoint_every
+                    args.usize("--checkpoint-every")
                         .unwrap_or(telemetry::DEFAULT_TELEMETRY_BATCH),
-                )
-                .map_err(|e| e.to_string())?;
+                )?;
                 if let Some(obs) = &obs {
                     log.observe(obs);
                 }
@@ -994,7 +827,7 @@ impl Session {
             journal,
             telemetry,
             obs,
-            store_path: options.store.clone(),
+            store_path: args.path("--store").map(Path::to_path_buf),
         })
     }
 
@@ -1004,7 +837,7 @@ impl Session {
     /// sidecar I/O failure is a *warning*, never a reason to discard
     /// the campaign's results: telemetry is advisory, and the store
     /// save below must happen regardless.
-    fn close(self, quiet: bool) -> Result<(), String> {
+    fn close(self, quiet: bool) -> CliResult<()> {
         let telemetry_warning = self.telemetry.and_then(|log| {
             let log = log.into_inner().expect("telemetry lock poisoned");
             let path = log.path().to_path_buf();
@@ -1026,11 +859,8 @@ impl Session {
                 let compactions = journal
                     .into_inner()
                     .expect("journal lock poisoned")
-                    .finish()
-                    .map_err(|e| e.to_string())?;
-                self.store
-                    .checkpoint_observed(path, self.obs.as_ref())
-                    .map_err(|e| e.to_string())?;
+                    .finish()?;
+                self.store.checkpoint_observed(path, self.obs.as_ref())?;
                 if !quiet {
                     if compactions > 0 {
                         println!(
@@ -1042,10 +872,7 @@ impl Session {
                     }
                 }
             }
-            (None, Some(path)) => self
-                .store
-                .save_observed(path, self.obs.as_ref())
-                .map_err(|e| e.to_string())?,
+            (None, Some(path)) => self.store.save_observed(path, self.obs.as_ref())?,
             _ => {}
         }
         finish_trace(self.obs.as_ref(), quiet);
@@ -1073,7 +900,7 @@ fn finish_trace(obs: Option<&Obs>, quiet: bool) {
 /// journaling), the telemetry sink (when `--telemetry`) and the
 /// `--progress` stderr heartbeat.
 macro_rules! session_hooks {
-    ($session:expr, $options:expr, $hooks:ident) => {
+    ($session:expr, $args:expr, $hooks:ident) => {
         let journal_sink = |fp: &str, cell: &store::StoredCell| {
             if let Some(journal) = &$session.journal {
                 journal
@@ -1103,7 +930,7 @@ macro_rules! session_hooks {
             let _ = err.flush();
         };
         let $hooks = ExecHooks {
-            progress: if $options.progress {
+            progress: if $args.switch("--progress") {
                 Some(&progress_line as &(dyn Fn(ExecProgress) + Sync))
             } else {
                 None
@@ -1125,50 +952,50 @@ macro_rules! session_hooks {
 }
 
 /// Ends the `--progress` carriage-return line, if one was printed.
-fn end_progress(options: &Options) {
-    if options.progress {
+fn end_progress(args: &Args) {
+    if args.switch("--progress") {
         eprintln!();
     }
 }
 
-fn run_or_report(registry: &Registry, options: &Options) -> Result<u8, String> {
-    let filter = Filter::parse(&options.filters)?;
-    let mut session = Session::open(options)?;
-    session_hooks!(session, options, hooks);
+fn run_or_report(args: &Args) -> CliResult<u8> {
+    let registry = &args.registry();
+    let filter = Filter::parse(args.values("--filter"))?;
+    let mut session = Session::open(args)?;
+    session_hooks!(session, args, hooks);
     let campaign = run_campaign_with(
         registry,
-        &options.scenarios,
+        args.values("--scenario"),
         &filter,
         &ExecConfig {
-            threads: options.threads,
-            seed: options.seed,
-            replicates: options.replicates.unwrap_or(1),
-            keep_replicates: options.keep_replicates,
+            threads: args.threads(),
+            seed: args.seed(),
+            replicates: args.u32("--replicates").unwrap_or(1),
+            keep_replicates: args.switch("--keep-replicates"),
         },
         &mut session.store,
         CellDomain::All,
         hooks,
-    )
-    .map_err(|e| e.to_string())?;
-    end_progress(options);
-    write_artifacts(&campaign, options)?;
+    )?;
+    end_progress(args);
+    write_artifacts(&campaign, args)?;
     let replayed = session.replayed;
-    session.close(options.quiet)?;
-    if options.command == "report" {
+    session.close(args.quiet())?;
+    if args.command == "report" {
         print!("{}", report::evidence_summary(&campaign, registry));
         if campaign.replicates > 1 {
             print!("{}", report::distribution_summary(&campaign, registry));
         }
         return Ok(0);
     }
-    print_cells(&campaign, options.quiet);
+    print_cells(&campaign, args.quiet());
     println!(
         "{} cells: {} executed, {} memoized (seed {}){}",
         campaign.cells.len(),
         campaign.executed,
         campaign.memoized,
         campaign.seed,
-        if options.resume {
+        if args.switch("--resume") {
             format!(" — resumed, {replayed} journal cells replayed")
         } else {
             String::new()
@@ -1177,39 +1004,38 @@ fn run_or_report(registry: &Registry, options: &Options) -> Result<u8, String> {
     Ok(0)
 }
 
-fn plan(registry: &Registry, options: &Options) -> Result<u8, String> {
-    let shards = options.shards.ok_or("plan needs --shards N")?;
-    let path = options
-        .manifest
-        .as_deref()
+fn plan(args: &Args) -> CliResult<u8> {
+    let registry = &args.registry();
+    let shards = args.u32("--shards").ok_or("plan needs --shards N")?;
+    let path = args
+        .path("--manifest")
         .ok_or("plan needs --manifest PATH")?;
     // The baseline store, and — when a telemetry sidecar accompanies it
     // — the measured durations that outrank the metric proxy.
-    let (baseline, baseline_telemetry) = match &options.calibrate {
+    let (baseline, baseline_telemetry) = match args.path("--calibrate") {
         Some(p) => (
-            Some(ResultStore::load_required(p).map_err(|e| e.to_string())?),
-            Some(Telemetry::load_for_store(p).map_err(|e| e.to_string())?),
+            Some(ResultStore::load_required(p)?),
+            Some(Telemetry::load_for_store(p)?),
         ),
         None => (None, None),
     };
     let (manifest, shard_counts, source) = dist::plan_calibrated_with(
         registry,
-        &options.scenarios,
-        &options.filters,
-        options.seed,
+        args.values("--scenario"),
+        args.values("--filter"),
+        args.seed(),
         shards,
-        options.replicates.unwrap_or(1),
+        args.u32("--replicates").unwrap_or(1),
         baseline.as_ref(),
         baseline_telemetry.as_ref(),
-    )
-    .map_err(|e| e.to_string())?;
-    manifest.save(path).map_err(|e| e.to_string())?;
-    if !options.quiet {
+    )?;
+    manifest.save(path)?;
+    if !args.quiet() {
         print!("{}", report::plan_summary(&manifest, &shard_counts));
         match source {
             dist::WeightSource::WallClock => println!(
                 "  weights calibrated from wall-clock telemetry ({})",
-                telemetry::telemetry_path(options.calibrate.as_deref().unwrap_or(Path::new("")))
+                telemetry::telemetry_path(args.path("--calibrate").unwrap_or(Path::new("")))
                     .display()
             ),
             dist::WeightSource::MetricProxy => {
@@ -1222,57 +1048,53 @@ fn plan(registry: &Registry, options: &Options) -> Result<u8, String> {
     Ok(0)
 }
 
-fn shard(options: &Options) -> Result<u8, String> {
-    let path = options
-        .manifest
-        .as_deref()
+fn shard(args: &Args) -> CliResult<u8> {
+    let path = args
+        .path("--manifest")
         .ok_or("shard needs --manifest PATH")?;
-    let index = options.index.ok_or("shard needs --index I")?;
-    if options.leases.is_some() && !options.steal {
+    let index = args.u32("--index").ok_or("shard needs --index I")?;
+    if args.path("--leases").is_some() && !args.switch("--steal") {
         return Err("--leases needs --steal (the static partition uses no lease files)".into());
     }
-    let manifest = dist::Manifest::load(path).map_err(|e| e.to_string())?;
+    let manifest = dist::Manifest::load(path)?;
     // The registry (and its generated corpus) is rebuilt from the
     // manifest, not from local flags: every worker must claim shards of
     // the exact campaign that was planned.
     let registry = dist::registry_for(&manifest);
-    let mut session = Session::open(options)?;
-    session_hooks!(session, options, hooks);
-    let (campaign, steal_stats) = if options.steal {
-        let lease_dir = options
-            .leases
-            .clone()
-            .unwrap_or_else(|| dist::LeaseDir::for_manifest(path));
+    let mut session = Session::open(args)?;
+    session_hooks!(session, args, hooks);
+    let (campaign, steal_stats) = if args.switch("--steal") {
+        let lease_dir = args
+            .path("--leases")
+            .map_or_else(|| dist::LeaseDir::for_manifest(path), Path::to_path_buf);
         // `open` stamps the directory with this campaign's digest and
         // refuses stale lease directories from an earlier plan.
-        let leases = dist::LeaseDir::open(&lease_dir, &manifest).map_err(|e| e.to_string())?;
+        let leases = dist::LeaseDir::open(&lease_dir, &manifest)?;
         let (campaign, stats) = dist::run_shard_stealing(
             &registry,
             &manifest,
             index,
-            options.threads,
+            args.threads(),
             &mut session.store,
             &leases,
             hooks,
-        )
-        .map_err(|e| e.to_string())?;
+        )?;
         (campaign, Some(stats))
     } else {
         let campaign = dist::run_shard_with(
             &registry,
             &manifest,
             index,
-            options.threads,
+            args.threads(),
             &mut session.store,
             hooks,
-        )
-        .map_err(|e| e.to_string())?;
+        )?;
         (campaign, None)
     };
-    end_progress(options);
-    write_artifacts(&campaign, options)?;
-    session.close(options.quiet)?;
-    print_cells(&campaign, options.quiet);
+    end_progress(args);
+    write_artifacts(&campaign, args)?;
+    session.close(args.quiet())?;
+    print_cells(&campaign, args.quiet());
     print!(
         "shard {index}/{}: {} cells: {} executed, {} memoized (seed {})",
         manifest.shards,
@@ -1291,18 +1113,18 @@ fn shard(options: &Options) -> Result<u8, String> {
     Ok(0)
 }
 
-fn merge(options: &Options) -> Result<u8, String> {
-    let out = options.out.as_deref().ok_or("merge needs --out PATH")?;
-    if options.positional.is_empty() {
+fn merge(args: &Args) -> CliResult<u8> {
+    let out = args.path("--out").ok_or("merge needs --out PATH")?;
+    if args.positional.is_empty() {
         return Err("merge needs at least one input store".into());
     }
-    if options.steal_report && options.manifest.is_none() {
+    if args.switch("--report") && args.path("--manifest").is_none() {
         return Err("--report needs --manifest PATH (the chunk map comes from it)".into());
     }
-    if options.leases.is_some() && !options.steal_report {
+    if args.path("--leases").is_some() && !args.switch("--report") {
         return Err("--leases needs --report (plain merges read no lease files)".into());
     }
-    if options.keep_replicates && options.manifest.is_none() {
+    if args.switch("--keep-replicates") && args.path("--manifest").is_none() {
         return Err(
             "--keep-replicates needs --manifest PATH (the replicate fold it modulates is \
              driven by the manifest)"
@@ -1311,80 +1133,68 @@ fn merge(options: &Options) -> Result<u8, String> {
     }
     // A live daemon both reads (inputs) and writes (--out) its store on
     // its own schedule; merging against either end races it.
-    for path in options
+    for path in args
         .positional
         .iter()
         .chain(std::iter::once(&out.to_path_buf()))
     {
-        report_stale_lock(
-            serve_lock::refuse_if_live(path, "merge").map_err(|e| e.to_string())?,
-            path,
-        );
+        report_stale_lock(serve_lock::refuse_if_live(path, "merge")?, path);
     }
-    let obs = match &options.trace {
-        Some(path) => Some(Obs::with_trace(path).map_err(|e| e.to_string())?),
-        None => None,
-    };
-    let stores = options
+    let obs = args.path("--trace").map(Obs::with_trace).transpose()?;
+    let stores = args
         .positional
         .iter()
-        .map(|p| ResultStore::load_required(p).map_err(|e| e.to_string()))
+        .map(|p| ResultStore::load_required(p))
         .collect::<Result<Vec<_>, _>>()?;
     let inputs_merged = stores.len();
-    let (fused, stats) =
-        dist::merge_stores_owned_observed(stores, obs.as_ref()).map_err(|e| e.to_string())?;
-    let mut fused = fused;
+    let (mut fused, stats) = dist::merge_stores_owned_observed(stores, obs.as_ref())?;
     let mut folded = 0usize;
-    if let Some(path) = &options.manifest {
-        let manifest = dist::Manifest::load(path).map_err(|e| e.to_string())?;
+    if let Some(path) = args.path("--manifest") {
+        let manifest = dist::Manifest::load(path)?;
         let registry = dist::registry_for(&manifest);
-        dist::merge::verify_coverage(&registry, &manifest, &fused).map_err(|e| e.to_string())?;
+        dist::merge::verify_coverage(&registry, &manifest, &fused)?;
         // A replicated campaign's shards carry raw replicate cells;
         // folding them here (after coverage proved every replicate
         // present) makes the merged store byte-identical to the
         // single-process run's.
-        folded =
-            dist::merge::fold_replicates(&registry, &manifest, &mut fused, options.keep_replicates)
-                .map_err(|e| e.to_string())?;
-        if options.steal_report {
-            let lease_dir = options
-                .leases
-                .clone()
-                .unwrap_or_else(|| dist::LeaseDir::for_manifest(path));
+        folded = dist::merge::fold_replicates(
+            &registry,
+            &manifest,
+            &mut fused,
+            args.switch("--keep-replicates"),
+        )?;
+        if args.switch("--report") {
+            let lease_dir = args
+                .path("--leases")
+                .map_or_else(|| dist::LeaseDir::for_manifest(path), Path::to_path_buf);
             if !lease_dir.is_dir() {
                 return Err(format!(
                     "no lease directory at {} — --report needs the lease files of a \
                      `shard --steal` campaign (or pass theirs via --leases DIR)",
                     lease_dir.display()
-                ));
+                )
+                .into());
             }
-            let leases = dist::LeaseDir::open(&lease_dir, &manifest).map_err(|e| e.to_string())?;
-            let inputs: Vec<(String, Option<Telemetry>)> = options
+            let leases = dist::LeaseDir::open(&lease_dir, &manifest)?;
+            let inputs: Vec<(String, Option<Telemetry>)> = args
                 .positional
                 .iter()
                 .map(|p| {
                     let sidecar = telemetry::telemetry_path(p);
-                    let telemetry = if sidecar.exists() {
-                        Some(Telemetry::load(&sidecar).map_err(|e| e.to_string())?)
-                    } else {
-                        None
-                    };
-                    Ok((p.display().to_string(), telemetry))
+                    let telemetry = sidecar.exists().then(|| Telemetry::load(&sidecar));
+                    Ok((p.display().to_string(), telemetry.transpose()?))
                 })
-                .collect::<Result<Vec<_>, String>>()?;
-            let report = dist::steal_report(&registry, &manifest, &leases, &inputs)
-                .map_err(|e| e.to_string())?;
+                .collect::<CliResult<Vec<_>>>()?;
+            let report = dist::steal_report(&registry, &manifest, &leases, &inputs)?;
             print!("{}", report::steal_summary(&report, &manifest));
         }
     }
-    fused
-        .save_observed(out, obs.as_ref())
-        .map_err(|e| e.to_string())?;
-    finish_trace(obs.as_ref(), options.quiet);
+    fused.save_observed(out, obs.as_ref())?;
+    finish_trace(obs.as_ref(), args.quiet());
     // --quiet mutes the summary line; an explicitly requested --report
     // still prints (asking for a report and silencing it would be a
     // contradiction).
-    if !options.quiet {
+    if !args.quiet() {
         println!(
             "merged {} stores into {}: {} cells ({} duplicate){}",
             inputs_merged,
@@ -1401,24 +1211,24 @@ fn merge(options: &Options) -> Result<u8, String> {
     Ok(0)
 }
 
-fn diff(options: &Options) -> Result<u8, String> {
-    let [baseline, compared] = options.positional.as_slice() else {
+fn diff(args: &Args) -> CliResult<u8> {
+    let [baseline, compared] = args.positional.as_slice() else {
         return Err("diff needs exactly two store paths (BASELINE COMPARED)".into());
     };
-    let mut tol = dist::Tolerances::parse(&options.tols).map_err(|e| e.to_string())?;
-    if let Some(eps) = options.tol_default {
+    let mut tol = dist::Tolerances::parse(args.values("--tol"))?;
+    if let Some(eps) = args.f64("--tol-default") {
         tol = tol.with_default(eps);
     }
-    if let Some(rel) = options.rel_default {
+    if let Some(rel) = args.f64("--rel") {
         tol = tol.with_rel(rel);
     }
-    if let Some(sigmas) = options.sigmas {
+    if let Some(sigmas) = args.f64("--sigmas") {
         tol = tol.with_sigmas(sigmas);
     }
-    let load = |p: &Path| ResultStore::load_required(p).map_err(|e| e.to_string());
+    let load = |p: &Path| ResultStore::load_required(p);
     let (a, b) = (load(baseline)?, load(compared)?);
     let report = dist::diff_stores(&a, &b, &tol);
-    if !options.quiet || !report.is_empty() {
+    if !args.quiet() || !report.is_empty() {
         print!("{}", report::diff_summary(&report));
     }
     Ok(if report.is_empty() {
@@ -1432,33 +1242,34 @@ fn diff(options: &Options) -> Result<u8, String> {
 /// writes the schema-versioned `BENCH_exec.json` / `BENCH_store.json`
 /// / `BENCH_serve.json` documents (the committed perf trajectory) or,
 /// with `--check`, gates a quick rerun against the committed files.
-fn bench_cmd(options: &Options) -> Result<u8, String> {
-    let out_dir = options.out.clone().unwrap_or_else(|| PathBuf::from("."));
+fn bench_cmd(args: &Args) -> CliResult<u8> {
+    let out_dir = args.path("--out").unwrap_or(Path::new("."));
     if !out_dir.is_dir() {
-        return Err(format!("no such directory: {}", out_dir.display()));
+        return Err(format!("no such directory: {}", out_dir.display()).into());
     }
     // --check always measures in quick mode: same bench names, CI-sized
     // repeats; the committed full-mode files carry every name quick runs.
-    let quick = options.quick || options.check;
+    let quick = args.switch("--quick") || args.switch("--check");
     let config = if quick {
-        bench::BenchConfig::quick(options.repeats)
+        bench::BenchConfig::quick(args.usize("--repeats"))
     } else {
-        bench::BenchConfig::full(options.repeats)
+        bench::BenchConfig::full(args.usize("--repeats"))
     };
     // Fail the gate before minutes of measurement if there is nothing
     // committed to gate against.
-    if options.check {
+    if args.switch("--check") {
         for kind in ["exec", "store", "serve"] {
             let path = out_dir.join(bench::bench_file(kind));
             if !path.exists() {
                 return Err(format!(
                     "no committed {} — run `campaign bench` and commit the result",
                     path.display()
-                ));
+                )
+                .into());
             }
         }
     }
-    let quiet = options.quiet;
+    let quiet = args.quiet();
     let mut progress = |name: &str| {
         if !quiet {
             let mut err = std::io::stderr().lock();
@@ -1467,20 +1278,11 @@ fn bench_cmd(options: &Options) -> Result<u8, String> {
         }
     };
     let families: Vec<(&str, Vec<bench::BenchResult>)> = vec![
-        (
-            "exec",
-            bench::run_exec_benches(&config, &mut progress).map_err(|e| e.to_string())?,
-        ),
-        (
-            "store",
-            bench::run_store_benches(&config, &mut progress).map_err(|e| e.to_string())?,
-        ),
-        (
-            "serve",
-            bench::run_serve_benches(&config, &mut progress).map_err(|e| e.to_string())?,
-        ),
+        ("exec", bench::run_exec_benches(&config, &mut progress)?),
+        ("store", bench::run_store_benches(&config, &mut progress)?),
+        ("serve", bench::run_serve_benches(&config, &mut progress)?),
     ];
-    if options.check {
+    if args.switch("--check") {
         let mut failures = Vec::new();
         for (kind, results) in &families {
             let committed = Json::parse_file(&out_dir.join(bench::bench_file(kind)))?;
@@ -1531,33 +1333,31 @@ fn report_stale_lock(stale: Option<serve_lock::LockInfo>, store: &Path) {
 }
 
 /// `campaign serve`: the always-on query/submit daemon over a store.
-fn serve_cmd(options: &Options) -> Result<u8, String> {
-    let store_path = options.store.as_deref().ok_or("serve needs --store PATH")?;
-    let obs = match &options.trace {
-        Some(path) => Some(Obs::with_trace(path).map_err(|e| e.to_string())?),
-        None => None,
-    };
+fn serve_cmd(args: &Args) -> CliResult<u8> {
+    let store_path = args.path("--store").ok_or("serve needs --store PATH")?;
+    let obs = args.path("--trace").map(Obs::with_trace).transpose()?;
     let defaults = ServeOptions::default();
     let handle = Server::bind(
         store_path,
         ServeOptions {
-            addr: options.addr.clone().unwrap_or(defaults.addr),
-            accept_pool: options.accept_pool.unwrap_or(defaults.accept_pool),
-            exec_threads: options.threads,
-            checkpoint_every: options
-                .checkpoint_every
+            addr: args.text("--addr").map_or(defaults.addr, str::to_string),
+            accept_pool: args.usize("--accept-pool").unwrap_or(defaults.accept_pool),
+            exec_threads: args.threads(),
+            checkpoint_every: args
+                .usize("--checkpoint-every")
                 .unwrap_or(defaults.checkpoint_every),
-            compact_journal_over: options.compact_journal_over,
-            slowlog_over_us: options.slowlog_over_us.unwrap_or(defaults.slowlog_over_us),
+            compact_journal_over: args.usize("--compact-journal-over"),
+            slowlog_over_us: args
+                .u64("--slowlog-over-us")
+                .unwrap_or(defaults.slowlog_over_us),
             metrics_noop: false,
-            quiet: options.quiet,
+            quiet: args.quiet(),
         },
         obs.clone(),
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
     report_stale_lock(handle.broke_stale_lock.clone(), store_path);
     let addr = handle.addr();
-    if let Some(port_file) = &options.port_file {
+    if let Some(port_file) = args.path("--port-file") {
         // Written via a rename so a poller never reads a half-written
         // address.
         let tmp = port_file.with_extension("tmp");
@@ -1565,7 +1365,7 @@ fn serve_cmd(options: &Options) -> Result<u8, String> {
             .and_then(|()| std::fs::rename(&tmp, port_file))
             .map_err(|e| format!("write {}: {e}", port_file.display()))?;
     }
-    if !options.quiet {
+    if !args.quiet() {
         println!(
             "serve: listening on {addr} ({} cells{})",
             handle.cells(),
@@ -1576,9 +1376,9 @@ fn serve_cmd(options: &Options) -> Result<u8, String> {
             }
         );
     }
-    let summary = handle.wait().map_err(|e| e.to_string())?;
-    finish_trace(obs.as_ref(), options.quiet);
-    if !options.quiet {
+    let summary = handle.wait()?;
+    finish_trace(obs.as_ref(), args.quiet());
+    if !args.quiet() {
         println!(
             "serve: shut down after {} ms — {} cells checkpointed; {} connections, \
              {} requests ({} queries: {} hits, {} misses), {} submits \
@@ -1626,9 +1426,9 @@ fn top_poll(addr: &str) -> std::io::Result<[Json; 3]> {
 /// `campaign top`: live terminal view of a running daemon. The screen
 /// itself is rendered by [`harness::serve::top`]; this loop only
 /// polls, clears and reprints.
-fn top_cmd(options: &Options) -> Result<u8, String> {
-    let addr = match (&options.addr, &options.port_file) {
-        (Some(addr), None) => addr.clone(),
+fn top_cmd(args: &Args) -> CliResult<u8> {
+    let addr = match (args.text("--addr"), args.path("--port-file")) {
+        (Some(addr), None) => addr.to_string(),
         (None, Some(path)) => std::fs::read_to_string(path)
             .map_err(|e| format!("read {}: {e}", path.display()))?
             .trim()
@@ -1636,7 +1436,7 @@ fn top_cmd(options: &Options) -> Result<u8, String> {
         (Some(_), Some(_)) => return Err("top takes --addr or --port-file, not both".into()),
         (None, None) => return Err("top needs --addr HOST:PORT or --port-file PATH".into()),
     };
-    let interval = std::time::Duration::from_millis(options.interval_ms.unwrap_or(1_000));
+    let interval = std::time::Duration::from_millis(args.u64("--interval-ms").unwrap_or(1_000));
     let mut first = true;
     loop {
         let [stats, metrics, jobs] = match top_poll(&addr) {
@@ -1644,14 +1444,14 @@ fn top_cmd(options: &Options) -> Result<u8, String> {
             // The first connection failing is an operator error (wrong
             // address, daemon not up); later failures mean the daemon
             // shut down mid-watch, which is a clean exit.
-            Err(e) if first => return Err(format!("connect {addr}: {e}")),
+            Err(e) if first => return Err(format!("connect {addr}: {e}").into()),
             Err(_) => {
                 println!("campaign top: daemon at {addr} is gone");
                 return Ok(0);
             }
         };
         let screen = serve_top::render(&addr, &stats, &metrics, &jobs);
-        if options.once {
+        if args.switch("--once") {
             print!("{screen}");
             return Ok(0);
         }
@@ -1666,11 +1466,11 @@ fn top_cmd(options: &Options) -> Result<u8, String> {
 /// `campaign trace FILE`: validates a `--trace` output file and prints
 /// its per-span totals — the quick sanity check CI runs before anyone
 /// loads the file into Perfetto.
-fn trace_cmd(options: &Options) -> Result<u8, String> {
-    let [path] = options.positional.as_slice() else {
+fn trace_cmd(args: &Args) -> CliResult<u8> {
+    let [path] = args.positional.as_slice() else {
         return Err("trace needs exactly one trace file path".into());
     };
-    let stats = obs_trace::load_trace(path).map_err(|e| e.to_string())?;
+    let stats = obs_trace::load_trace(path)?;
     println!(
         "{}: {} events{}",
         path.display(),
@@ -1693,12 +1493,12 @@ fn trace_cmd(options: &Options) -> Result<u8, String> {
 /// Writes the campaign-shaped artifacts (JSON/CSV). The store itself
 /// is persisted by [`Session::close`] — checkpoint-compacted when
 /// journaling, atomically saved otherwise.
-fn write_artifacts(campaign: &Campaign, options: &Options) -> Result<(), String> {
-    if let Some(path) = &options.json {
+fn write_artifacts(campaign: &Campaign, args: &Args) -> CliResult<()> {
+    if let Some(path) = args.path("--json") {
         std::fs::write(path, report::campaign_json(campaign))
             .map_err(|e| format!("write {}: {e}", path.display()))?;
     }
-    if let Some(path) = &options.csv {
+    if let Some(path) = args.path("--csv") {
         std::fs::write(path, report::campaign_csv(campaign))
             .map_err(|e| format!("write {}: {e}", path.display()))?;
     }

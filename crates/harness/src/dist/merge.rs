@@ -33,18 +33,6 @@ pub struct MergeStats {
 /// a scenario violated determinism, and silently picking a winner
 /// would launder the violation into the canonical store.
 pub fn merge_stores(stores: &[ResultStore]) -> Result<(ResultStore, MergeStats), ScenarioError> {
-    merge_stores_observed(stores, None)
-}
-
-/// [`merge_stores`] with an optional [`crate::obs::Obs`] recorder: the
-/// whole fuse runs under a `merge` span (the CLI's `merge --trace`
-/// path). Purely observational — the fused store is byte-identical
-/// with or without the recorder.
-pub fn merge_stores_observed(
-    stores: &[ResultStore],
-    obs: Option<&crate::obs::Obs>,
-) -> Result<(ResultStore, MergeStats), ScenarioError> {
-    let _merge_span = obs.map(|o| o.span("merge", "dist"));
     fuse(
         stores
             .iter()
@@ -62,8 +50,10 @@ pub fn merge_stores_owned(
     merge_stores_owned_observed(stores, None)
 }
 
-/// [`merge_stores_owned`] under a `merge` span when a recorder is
-/// given. Purely observational, like [`merge_stores_observed`].
+/// [`merge_stores_owned`] with an optional [`crate::obs::Obs`]
+/// recorder: the whole fuse runs under a `merge` span (the CLI's
+/// `merge --trace` path). Purely observational — the fused store is
+/// byte-identical with or without the recorder.
 pub fn merge_stores_owned_observed(
     stores: Vec<ResultStore>,
     obs: Option<&crate::obs::Obs>,

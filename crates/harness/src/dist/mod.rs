@@ -69,13 +69,12 @@ pub mod steal;
 
 pub use diff::{diff_stores, Admitted, DiffReport, NearMiss, Tolerances};
 pub use merge::{
-    fold_replicates, merge_stores, merge_stores_observed, merge_stores_owned,
-    merge_stores_owned_observed, steal_report, MergeStats, StealReport,
+    fold_replicates, merge_stores, merge_stores_owned, merge_stores_owned_observed, steal_report,
+    MergeStats, StealReport,
 };
 pub use plan::{
-    calibrate_weights, calibrate_weights_wall, plan, plan_calibrated, plan_calibrated_with,
-    plan_with_cells, planned_cells, visit_planned_cells, CorpusPlan, Manifest, PlannedCell,
-    ScenarioPlan, WeightSource,
+    calibrate_weights, calibrate_weights_wall, plan, plan_calibrated_with, planned_cells,
+    visit_planned_cells, CorpusPlan, Manifest, PlannedCell, ScenarioPlan, WeightSource,
 };
 pub use steal::{chunk_map, run_shard_stealing, Chunk, LeaseDir, StealStats};
 

@@ -20,7 +20,7 @@
 //! store) which the work-stealing layer uses to size its initial
 //! leases; weights are advisory and never affect results.
 
-use crate::exec::{cell_seed, select_scenarios, shard_of, validate_filter};
+use crate::exec::{cell_seed, resolve_campaign, shard_of};
 use crate::json::Json;
 use crate::matrix::{CellIter, Filter};
 use crate::registry::Registry;
@@ -368,21 +368,6 @@ fn stream_cells(
     visit: &mut dyn FnMut(PlannedCell) -> Result<(), ScenarioError>,
 ) -> Result<(), ScenarioError> {
     let reps = replicates.max(1);
-    if reps > 1 {
-        // Mirror the executor's reservation of the replicate axis: a
-        // scenario declaring its own `rep` axis would make base and
-        // replicate coordinates ambiguous.
-        for spec in specs {
-            if spec.axes.iter().any(|a| a.name == crate::matrix::REP_AXIS) {
-                return Err(ScenarioError::Dist(format!(
-                    "scenario `{}` declares an axis named `{}`, which is \
-                     reserved for --replicates",
-                    spec.id,
-                    crate::matrix::REP_AXIS
-                )));
-            }
-        }
-    }
     let mut global_base = 0usize;
     for spec in specs {
         let cells = CellIter::new(&spec.axes);
@@ -435,9 +420,7 @@ pub fn visit_planned_cells(
     visit: &mut dyn FnMut(PlannedCell) -> Result<(), ScenarioError>,
 ) -> Result<(), ScenarioError> {
     let filter = manifest.parsed_filter()?;
-    let scenarios = select_scenarios(registry, &manifest.scenarios)?;
-    let specs: Vec<_> = scenarios.iter().map(|s| s.spec()).collect();
-    validate_filter(&specs, &filter)?;
+    let (_, specs) = resolve_campaign(registry, &manifest.scenarios, &filter, manifest.replicates)?;
     stream_cells(
         &specs,
         &filter,
@@ -554,7 +537,7 @@ pub fn calibrate_weights(baseline: &ResultStore, scenario_ids: &[String]) -> Vec
 /// Plans a campaign into `shards` disjoint shards: validates selection,
 /// filter and shard count exactly like a run would, then records the
 /// resolved scenario ids, matched cell count and fingerprint digest in
-/// a [`Manifest`]. Unit cost weights; see [`plan_calibrated`].
+/// a [`Manifest`]. Unit cost weights; see [`plan_calibrated_with`].
 pub fn plan(
     registry: &Registry,
     select: &[String],
@@ -562,20 +545,6 @@ pub fn plan(
     seed: u64,
     shards: u32,
 ) -> Result<Manifest, ScenarioError> {
-    plan_calibrated(registry, select, filter_clauses, seed, shards, None).map(|(m, _)| m)
-}
-
-/// [`plan`] with optional cost calibration from a baseline store, also
-/// returning the per-shard planned cell counts (the partition balance)
-/// — everything computed in one streaming pass, no materialized cells.
-pub fn plan_calibrated(
-    registry: &Registry,
-    select: &[String],
-    filter_clauses: &[String],
-    seed: u64,
-    shards: u32,
-    baseline: Option<&ResultStore>,
-) -> Result<(Manifest, Vec<usize>), ScenarioError> {
     plan_calibrated_with(
         registry,
         select,
@@ -583,17 +552,20 @@ pub fn plan_calibrated(
         seed,
         shards,
         1,
-        baseline,
+        None,
         None,
     )
-    .map(|(m, counts, _)| (m, counts))
+    .map(|(m, _, _)| m)
 }
 
-/// [`plan_calibrated`] with the measured-duration upgrade: when the
-/// baseline store's telemetry sidecar times at least one selected
-/// scenario, the weights come from *wall-clock means* instead of the
-/// metric-magnitude proxy; otherwise the proxy (or unit weights with no
-/// baseline at all). Also reports which source won.
+/// [`plan`] over `replicates` replicates with optional cost calibration
+/// from a baseline store, also returning the per-shard planned cell
+/// counts (the partition balance) — everything computed in one
+/// streaming pass, no materialized cells. When the baseline store's
+/// telemetry sidecar times at least one selected scenario, the weights
+/// come from *wall-clock means*; otherwise from the metric-magnitude
+/// proxy (or unit weights with no baseline at all). Also reports which
+/// source won.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_calibrated_with(
     registry: &Registry,
@@ -612,9 +584,7 @@ pub fn plan_calibrated_with(
         return Err(ScenarioError::Dist("replicates must be >= 1".into()));
     }
     let filter = Filter::parse(filter_clauses).map_err(ScenarioError::Dist)?;
-    let scenarios = select_scenarios(registry, select)?;
-    let specs: Vec<_> = scenarios.iter().map(|s| s.spec()).collect();
-    validate_filter(&specs, &filter)?;
+    let (_, specs) = resolve_campaign(registry, select, &filter, replicates)?;
     // Record the corpus identity when the planning registry carries one
     // and a selected scenario actually sweeps it.
     let corpus = registry.gen_options().and_then(|options| {
@@ -678,20 +648,6 @@ pub fn plan_calibrated_with(
         corpus,
     };
     Ok((manifest, shard_counts, source))
-}
-
-/// [`plan`], also returning the materialized planned cells — kept for
-/// tests and small campaigns; the CLI and workers stream instead.
-pub fn plan_with_cells(
-    registry: &Registry,
-    select: &[String],
-    filter_clauses: &[String],
-    seed: u64,
-    shards: u32,
-) -> Result<(Manifest, Vec<PlannedCell>), ScenarioError> {
-    let manifest = plan(registry, select, filter_clauses, seed, shards)?;
-    let cells = planned_cells(registry, &manifest)?;
-    Ok((manifest, cells))
 }
 
 /// Re-streams the manifest's campaign and errors if the registry has
@@ -943,15 +899,17 @@ mod tests {
         ];
         let w = calibrate_weights(&store, &ids);
         assert_eq!(w, vec![1.0, 4.0, 1.0]);
-        // Calibration feeds the manifest through plan_calibrated.
+        // Calibration feeds the manifest through plan_calibrated_with.
         let registry = Registry::builtin();
-        let (m, counts) = plan_calibrated(
+        let (m, counts, _) = plan_calibrated_with(
             &registry,
             &domino_select(),
             &[],
             42,
             3,
+            1,
             Some(&ResultStore::new()),
+            None,
         )
         .unwrap();
         assert_eq!(counts.iter().sum::<usize>(), m.cells);

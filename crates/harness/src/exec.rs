@@ -305,13 +305,22 @@ pub(crate) fn select_scenarios<'a>(
         .collect()
 }
 
-/// A filter clause must name an axis of at least one selected scenario
-/// — otherwise it is a typo that would silently run the whole
-/// unfiltered campaign.
-pub(crate) fn validate_filter(
-    specs: &[ScenarioSpec],
+/// Resolves a campaign: the selected scenarios and their specs, with
+/// the filter checked against the specs' axes and — for a replicated
+/// campaign — the reserved replicate axis checked free. The one
+/// resolution step the executor and the planner share, so a selection
+/// the planner accepts is exactly one the executor runs.
+pub(crate) fn resolve_campaign<'a>(
+    registry: &'a Registry,
+    select: &[String],
     filter: &Filter,
-) -> Result<(), ScenarioError> {
+    replicates: u32,
+) -> Result<(Vec<&'a dyn Scenario>, Vec<ScenarioSpec>), ScenarioError> {
+    let scenarios = select_scenarios(registry, select)?;
+    let specs: Vec<_> = scenarios.iter().map(|s| s.spec()).collect();
+    // A filter clause must name an axis of at least one selected
+    // scenario — otherwise it is a typo that would silently run the
+    // whole unfiltered campaign.
     for axis in filter.constrained_axes() {
         let known = specs
             .iter()
@@ -320,37 +329,20 @@ pub(crate) fn validate_filter(
             return Err(ScenarioError::UnknownFilterAxis(axis.to_string()));
         }
     }
-    Ok(())
-}
-
-/// [`run_campaign`], restricted to one shard of the cell partition.
-///
-/// With `shard: None` every matching cell runs. With `Some(shard)`,
-/// only cells whose fingerprint the shard [owns](Shard::owns) are
-/// evaluated; the resulting campaign (and store writes) cover exactly
-/// that slice, so N disjoint shard runs merge into the same store a
-/// single-process run would have produced.
-pub fn run_campaign_shard(
-    registry: &Registry,
-    select: &[String],
-    filter: &Filter,
-    config: &ExecConfig,
-    store: &mut ResultStore,
-    shard: Option<Shard>,
-) -> Result<Campaign, ScenarioError> {
-    let domain = match shard {
-        Some(s) => CellDomain::Shard(s),
-        None => CellDomain::All,
-    };
-    run_campaign_with(
-        registry,
-        select,
-        filter,
-        config,
-        store,
-        domain,
-        ExecHooks::default(),
-    )
+    // The replicate axis is reserved: a scenario declaring its own
+    // `rep` axis would make base and replicate coordinates ambiguous.
+    if replicates > 1 {
+        for spec in &specs {
+            if spec.axes.iter().any(|a| a.name == REP_AXIS) {
+                return Err(ScenarioError::Dist(format!(
+                    "scenario `{}` declares an axis named `{REP_AXIS}`, which is \
+                     reserved for --replicates",
+                    spec.id
+                )));
+            }
+        }
+    }
+    Ok((scenarios, specs))
 }
 
 /// What one scanned lazy index produced: either a store hit or a fresh
@@ -395,23 +387,8 @@ pub fn run_campaign_with(
     if config.replicates == 0 {
         return Err(ScenarioError::Dist("replicates must be >= 1".into()));
     }
-    let scenarios = select_scenarios(registry, select)?;
-    let specs: Vec<_> = scenarios.iter().map(|s| s.spec()).collect();
-    validate_filter(&specs, filter)?;
-    // The replicate axis is reserved: a scenario declaring its own
-    // `rep` axis would make base and replicate coordinates ambiguous.
+    let (scenarios, specs) = resolve_campaign(registry, select, filter, config.replicates)?;
     let reps = config.replicates as usize;
-    if reps > 1 {
-        for spec in &specs {
-            if spec.axes.iter().any(|a| a.name == REP_AXIS) {
-                return Err(ScenarioError::Dist(format!(
-                    "scenario `{}` declares an axis named `{REP_AXIS}`, which is \
-                     reserved for --replicates",
-                    spec.id
-                )));
-            }
-        }
-    }
 
     // The global lazy index space: prefix[i] is the first index of
     // scenario i's matrix (× the replicate multiplier), prefix[len]
@@ -1053,7 +1030,7 @@ mod tests {
         for count in [1u32, 2, 3, 4] {
             let mut sharded: Vec<CampaignCell> = Vec::new();
             for index in 0..count {
-                let slice = run_campaign_shard(
+                let slice = run_campaign_with(
                     &registry(),
                     &[],
                     &Filter::all(),
@@ -1063,7 +1040,8 @@ mod tests {
                         ..ExecConfig::default()
                     },
                     &mut ResultStore::new(),
-                    Some(Shard::new(index, count).unwrap()),
+                    CellDomain::Shard(Shard::new(index, count).unwrap()),
+                    ExecHooks::default(),
                 )
                 .unwrap();
                 sharded.extend(slice.cells);
@@ -1084,7 +1062,7 @@ mod tests {
         assert!(Shard::new(0, 0).is_err());
         assert!(Shard::new(3, 3).is_err());
         assert!(Shard::new(2, 3).is_ok());
-        let err = run_campaign_shard(
+        let err = run_campaign_with(
             &registry(),
             &[],
             &Filter::all(),
@@ -1094,7 +1072,8 @@ mod tests {
                 ..ExecConfig::default()
             },
             &mut ResultStore::new(),
-            Some(Shard { index: 5, count: 2 }),
+            CellDomain::Shard(Shard { index: 5, count: 2 }),
+            ExecHooks::default(),
         )
         .unwrap_err();
         assert!(matches!(err, ScenarioError::Dist(_)));

@@ -136,8 +136,8 @@ pub mod telemetry;
 
 pub use dist::{diff_stores, merge_stores, DiffReport, LeaseDir, Manifest, Tolerances};
 pub use exec::{
-    run_campaign, run_campaign_shard, run_campaign_with, Campaign, CampaignCell, CellDomain,
-    ExecConfig, ExecHooks, ExecProgress, Shard,
+    run_campaign, run_campaign_with, Campaign, CampaignCell, CellDomain, ExecConfig, ExecHooks,
+    ExecProgress, Shard,
 };
 pub use expect::{fold_results, replicate_seed, Accumulator, Moments, DERIVED_SUFFIXES};
 pub use gen::{Corpus, GenOptions};

@@ -630,9 +630,17 @@ mod tests {
     #[test]
     fn plan_summary_counts_every_shard() {
         let registry = Registry::builtin();
-        let (manifest, counts) =
-            crate::dist::plan_calibrated(&registry, &["pipeline-domino".into()], &[], 1, 3, None)
-                .unwrap();
+        let (manifest, counts, _) = crate::dist::plan_calibrated_with(
+            &registry,
+            &["pipeline-domino".into()],
+            &[],
+            1,
+            3,
+            1,
+            None,
+            None,
+        )
+        .unwrap();
         let s = plan_summary(&manifest, &counts);
         for shard in 0..3 {
             assert!(s.contains(&format!("shard {shard}:")));

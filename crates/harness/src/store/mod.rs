@@ -496,25 +496,14 @@ impl ResultStore {
         obs: Option<&crate::obs::Obs>,
     ) -> Result<(), ScenarioError> {
         let format = sniff_format(path)?;
-        self.save_as_observed(path, format, obs)
+        let _span = obs.map(|o| o.span("store/save", "store"));
+        self.save_as(path, format)
     }
 
     /// Writes the store in an explicitly chosen format — the
     /// `campaign convert` entry point; everything else should let
     /// [`Self::save`] keep the file's existing format.
     pub fn save_as(&self, path: &Path, format: StoreFormat) -> Result<(), ScenarioError> {
-        self.save_as_observed(path, format, None)
-    }
-
-    /// [`Self::save_as`] under a `store/save` span when a recorder is
-    /// given. Observation never changes the written bytes.
-    pub fn save_as_observed(
-        &self,
-        path: &Path,
-        format: StoreFormat,
-        obs: Option<&crate::obs::Obs>,
-    ) -> Result<(), ScenarioError> {
-        let _span = obs.map(|o| o.span("store/save", "store"));
         let bytes = match format {
             StoreFormat::Json => self.to_json().pretty().into_bytes(),
             StoreFormat::Binary => columnar::encode(self),
@@ -532,24 +521,16 @@ impl ResultStore {
     /// mid-append — is ignored; a torn line anywhere earlier is real
     /// corruption and errors.
     pub fn open_resumable(path: &Path) -> Result<(ResultStore, usize), ScenarioError> {
-        ResultStore::open_resumable_observed(path, None)
-    }
-
-    /// [`Self::open_resumable`] with the load under a `store/load` span
-    /// and the journal replay under `journal/replay`, when a recorder
-    /// is given.
-    pub fn open_resumable_observed(
-        path: &Path,
-        obs: Option<&crate::obs::Obs>,
-    ) -> Result<(ResultStore, usize), ScenarioError> {
-        let (opened, replayed) = ResultStore::open_resumable_full(path, obs)?;
+        let (opened, replayed) = ResultStore::open_resumable_full(path, None)?;
         Ok((opened.store, replayed))
     }
 
-    /// [`Self::open_resumable_observed`] keeping the whole
-    /// [`OpenedStore`]: the serve daemon needs the detected format (to
-    /// checkpoint back in kind) and a binary file's symbol table (to
-    /// seed its index interner instead of re-interning every string).
+    /// [`Self::open_resumable`] keeping the whole [`OpenedStore`], with
+    /// the load under a `store/load` span and the journal replay under
+    /// `journal/replay` when a recorder is given: the serve daemon
+    /// needs the detected format (to checkpoint back in kind) and a
+    /// binary file's symbol table (to seed its index interner instead
+    /// of re-interning every string).
     pub fn open_resumable_full(
         path: &Path,
         obs: Option<&crate::obs::Obs>,

@@ -378,6 +378,14 @@ fn cli_errors_exit_2_with_diagnostics() {
             &["shard", "--manifest", "m.json", "--index", "4294967296"],
             "small integer",
         ),
+        // A value flag never swallows the next flag as its value.
+        (
+            &["run", "--scenario", SELECT[0], "--store", "--quiet"],
+            "needs a value",
+        ),
+        // A flag that does not repeat rejects a second value instead of
+        // silently keeping the last one.
+        (&["list", "--seed", "1", "--seed", "2"], "given twice"),
     ];
     for (args, needle) in cases {
         let out = campaign(args);

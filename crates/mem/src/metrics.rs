@@ -23,9 +23,10 @@
 //!
 //! Known closed forms (checked in tests): LRU: evict = fill = `k`.
 //! FIFO: evict = `2k-1`, fill = `3k-1`. MRU: fill does not exist
-//! (reported as `None`). PLRU (k=4): evict = 5, fill = 9 — both worse
-//! than LRU's 4, which is the formal core of the recommendation in the
-//! paper's Table 1 row on future architectures [29] to prefer LRU.
+//! (reported as `None`). PLRU (k=4): evict = 5, fill = 7 (the closed
+//! form `(k/2)·log2(k) + k − 1`) — both worse than LRU's 4, which is
+//! the formal core of the recommendation in the paper's Table 1 row on
+//! future architectures [29] to prefer LRU.
 
 use crate::policy::{BlockId, Policy};
 use std::collections::BTreeSet;
@@ -209,9 +210,12 @@ mod tests {
 
     #[test]
     fn plru_is_less_predictable_than_lru() {
-        // k = 4: evict(PLRU) = 5 > 4 = evict(LRU); fill(PLRU) > fill(LRU).
+        // k = 4: evict(PLRU) = 5 > 4 = evict(LRU); fill(PLRU) =
+        // (k/2)·log2(k) + k − 1 = 7 > 4 = fill(LRU).
         let m = compute_metrics(&Plru, 4, 12);
         let l = compute_metrics(&lru(4), 4, 12);
+        assert_eq!(m.evict, Some(5));
+        assert_eq!(m.fill, Some(7));
         assert!(m.evict.unwrap() > l.evict.unwrap());
         assert!(m.fill.unwrap() > l.fill.unwrap());
     }
