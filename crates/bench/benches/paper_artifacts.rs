@@ -61,35 +61,15 @@ fn bench_table2(c: &mut Criterion) {
 }
 
 fn bench_cache_metrics(c: &mut Criterion) {
-    use mem_hierarchy::metrics::compute_metrics;
-    use mem_hierarchy::policy::{Bounded, Fifo, Lru};
+    use mem_hierarchy::metrics::{compute_metrics, PolicyKind};
     let mut g = c.benchmark_group("cache_metrics");
     g.sample_size(10);
     for k in [2usize, 3, 4] {
-        g.bench_with_input(BenchmarkId::new("lru", k), &k, |b, &k| {
-            b.iter(|| {
-                compute_metrics(
-                    &Bounded {
-                        inner: Lru,
-                        assoc: k,
-                    },
-                    k,
-                    3 * k as u32 + 2,
-                )
+        for (name, policy) in [("lru", PolicyKind::Lru), ("fifo", PolicyKind::Fifo)] {
+            g.bench_with_input(BenchmarkId::new(name, k), &k, |b, &k| {
+                b.iter(|| compute_metrics(policy, k, 3 * k as u32 + 2));
             });
-        });
-        g.bench_with_input(BenchmarkId::new("fifo", k), &k, |b, &k| {
-            b.iter(|| {
-                compute_metrics(
-                    &Bounded {
-                        inner: Fifo,
-                        assoc: k,
-                    },
-                    k,
-                    3 * k as u32 + 2,
-                )
-            });
-        });
+        }
     }
     g.finish();
 }

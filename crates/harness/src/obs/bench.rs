@@ -7,7 +7,9 @@
 //! scenario at N worker threads (so the measured cost is decode +
 //! fingerprint + memo-check + assembly, i.e. engine overhead per
 //! cell), fully-memoized re-scan rate, journal replay rate, and store
-//! save/load/merge times at growing cell-count tiers. Every bench runs
+//! save/load/merge times at growing cell-count tiers. One row times a
+//! real workload cell instead: `mem/evict-fill/policy=mru,assoc=4`,
+//! the default campaign's costliest cell. Every bench runs
 //! `repeats` times and is committed as mean/min/max over the repeats —
 //! the midynet-exemplar shape (statistics over replicates, never a
 //! single sample).
@@ -30,6 +32,7 @@ use crate::matrix::Filter;
 use crate::obs::{monotonic_ns, Obs};
 use crate::registry::Registry;
 use crate::scenario::{Axis, CellResult, Params, Scenario, ScenarioError, ScenarioSpec};
+use crate::scenarios::cache::CacheEvictFill;
 use crate::store::{fingerprint, Journal, ResultStore, StoreFormat, StoredCell};
 
 /// Schema version stamped into every `BENCH_*.json`; bump when the
@@ -207,7 +210,9 @@ fn summary_counter(summary: &Json, name: &str) -> f64 {
 }
 
 /// Executor-side benches (`BENCH_exec.json`): fresh-sweep throughput
-/// per worker tier and the fully-memoized re-scan rate. `progress` is
+/// per worker tier, the fully-memoized re-scan rate, the replicate fold,
+/// and the wall time of the campaign's costliest real cell (the
+/// evict/fill exploration of MRU at associativity 4). `progress` is
 /// called once per bench with a live status line.
 pub fn run_exec_benches(
     config: &BenchConfig,
@@ -308,6 +313,26 @@ pub fn run_exec_benches(
         name,
         unit: "cells/sec",
         higher_is_better: true,
+        samples,
+    });
+    // The paper's own kernel: the default campaign's costliest
+    // `cache-evict-fill` cell, run alone (one exploration per sample).
+    let name = "mem/evict-fill/policy=mru,assoc=4".to_string();
+    progress(&name);
+    let params = Params::new(vec![
+        ("policy".to_string(), "mru".to_string()),
+        ("assoc".to_string(), "4".to_string()),
+    ]);
+    let mut samples = Vec::new();
+    for _ in 0..config.repeats {
+        let start = monotonic_ns();
+        std::hint::black_box(CacheEvictFill.run(&params, 42)?);
+        samples.push(elapsed_ms(start));
+    }
+    results.push(BenchResult {
+        name,
+        unit: "ms",
+        higher_is_better: false,
         samples,
     });
     Ok(results)
@@ -850,7 +875,7 @@ mod tests {
     fn exec_benches_measure_nonzero_throughput() {
         let mut lines = Vec::new();
         let results = run_exec_benches(&tiny(), &mut |l| lines.push(l.to_string())).unwrap();
-        assert_eq!(results.len(), 4); // two tiers + memo + replicate-fold
+        assert_eq!(results.len(), 5); // two tiers + memo + replicate-fold + mem kernel
         for r in &results {
             assert_eq!(r.samples.len(), 2);
             assert!(
@@ -862,6 +887,9 @@ mod tests {
         }
         assert!(lines.iter().any(|l| l.contains("exec/memo")));
         assert!(lines.iter().any(|l| l.contains("exec/replicate-fold")));
+        let kernel = results.last().unwrap();
+        assert_eq!(kernel.name, "mem/evict-fill/policy=mru,assoc=4");
+        assert_eq!((kernel.unit, kernel.higher_is_better), ("ms", false));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cache replacement-policy predictability (`mem-hierarchy`).
 
 use crate::scenario::{Axis, CellResult, Params, Scenario, ScenarioError, ScenarioSpec};
-use mem_hierarchy::metrics::compute_metrics_by_name;
+use mem_hierarchy::metrics::{compute_metrics_by_name, MetricsError};
 
 /// Reineke et al.'s evict/fill metrics across replacement policies and
 /// associativities — the paper's Section 4 exemplar of an *inherent*
@@ -32,17 +32,21 @@ impl Scenario for CacheEvictFill {
 
     fn run(&self, params: &Params, _seed: u64) -> Result<CellResult, ScenarioError> {
         let policy = params.get("policy")?;
-        let assoc = params.get_u64("assoc")? as usize;
+        let assoc = params.get_u64("assoc")?;
         // 3k+2 accesses cover every known closed form (FIFO fills at
         // 3k-1); what is still unreached by then is reported as absent
         // (MRU's fill provably never exists).
-        let metrics =
-            compute_metrics_by_name(policy, assoc, 3 * assoc as u32 + 2).ok_or_else(|| {
-                ScenarioError::BadParam {
-                    axis: "policy".to_string(),
-                    value: policy.to_string(),
-                }
-            })?;
+        let budget = u32::try_from(assoc.saturating_mul(3).saturating_add(2)).unwrap_or(u32::MAX);
+        let metrics = compute_metrics_by_name(policy, assoc as usize, budget).map_err(|e| {
+            let (axis, value) = match e {
+                MetricsError::UnknownPolicy(_) => ("policy", policy.to_string()),
+                _ => ("assoc", assoc.to_string()),
+            };
+            ScenarioError::BadParam {
+                axis: axis.to_string(),
+                value,
+            }
+        })?;
         let mut out = Vec::new();
         if let Some(e) = metrics.evict {
             out.push(("evict".to_string(), e as f64));
@@ -59,7 +63,7 @@ impl Scenario for CacheEvictFill {
 mod tests {
     use super::*;
 
-    fn cell(policy: &str, assoc: u32) -> Params {
+    fn cell(policy: &str, assoc: u64) -> Params {
         Params::new(vec![
             ("policy".into(), policy.into()),
             ("assoc".into(), assoc.to_string()),
@@ -91,7 +95,29 @@ mod tests {
     fn unknown_policy_is_a_param_error() {
         assert!(matches!(
             CacheEvictFill.run(&cell("belady", 2), 0),
-            Err(ScenarioError::BadParam { .. })
+            Err(ScenarioError::BadParam { axis, .. }) if axis == "policy"
         ));
+    }
+
+    #[test]
+    fn unsupported_assoc_is_a_param_error_not_a_panic() {
+        // Tree PLRU needs a power-of-two associativity; the packed
+        // exploration holds at most 8 ways.
+        for (policy, assoc) in [
+            ("plru", 3),
+            ("plru", 6),
+            ("lru", 0),
+            ("lru", 9),
+            ("mru", 1 << 40),
+        ] {
+            assert!(
+                matches!(
+                    CacheEvictFill.run(&cell(policy, assoc), 0),
+                    Err(ScenarioError::BadParam { ref axis, ref value })
+                        if axis == "assoc" && *value == assoc.to_string()
+                ),
+                "{policy} at assoc {assoc}"
+            );
+        }
     }
 }

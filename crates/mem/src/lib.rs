@@ -38,5 +38,7 @@ pub mod spm;
 pub mod trace;
 
 pub use cache::{AccessResult, Cache, CacheConfig};
-pub use metrics::{compute_metrics, compute_metrics_by_name, PredictabilityMetrics};
+pub use metrics::{
+    compute_metrics, compute_metrics_by_name, MetricsError, PolicyKind, PredictabilityMetrics,
+};
 pub use policy::{Fifo, Lru, Mru, Plru, Policy, RandomPolicy};

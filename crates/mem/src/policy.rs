@@ -1,12 +1,12 @@
 //! Replacement policies as explicit per-set automata.
 //!
 //! Each policy exposes its per-set state as a value type with
-//! `Eq + Ord + Hash`, so the same implementation drives both the concrete cache
-//! simulator ([`crate::cache`]) and the exhaustive uncertainty-set
-//! exploration behind the evict/fill predictability metrics
-//! ([`crate::metrics`]). Keeping the state explicit is what makes the
-//! "optimal analysis" computable — the central demand of the paper's
-//! inherence requirement.
+//! `Eq + Ord + Hash`. These automata drive the concrete cache simulator
+//! ([`crate::cache`]) and are the single source of policy semantics:
+//! the packed transitions of the evict/fill exploration
+//! ([`crate::metrics`]) are tested against them state by state. Keeping
+//! the state explicit is what makes the "optimal analysis" computable —
+//! the central demand of the paper's inherence requirement.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,39 +48,6 @@ pub trait Policy: Clone + fmt::Debug {
 
     /// The blocks currently cached in the state.
     fn contents(&self, state: &Self::State) -> Vec<BlockId>;
-
-    /// Enumerates every possible set state whose contents are exactly
-    /// the given distinct blocks (used by the metrics exploration).
-    /// `blocks.len()` must equal the associativity.
-    fn states_with_contents(&self, assoc: usize, blocks: &[BlockId]) -> Vec<Self::State>;
-
-    /// A canonical representative of the state's behavioural
-    /// equivalence class. Physically different states that behave
-    /// identically under every access sequence (e.g. mirrored PLRU
-    /// trees) map to the same fingerprint; the metrics exploration
-    /// works modulo this quotient. The default is the identity.
-    fn fingerprint(&self, state: &Self::State) -> Self::State {
-        state.clone()
-    }
-}
-
-// ---------------------------------------------------------------------
-// helpers: permutations (tiny, local; avoids a dependency)
-
-pub(crate) fn permutations(items: &[BlockId]) -> Vec<Vec<BlockId>> {
-    if items.is_empty() {
-        return vec![Vec::new()];
-    }
-    let mut out = Vec::new();
-    for (i, &x) in items.iter().enumerate() {
-        let mut rest = items.to_vec();
-        rest.remove(i);
-        for mut tail in permutations(&rest) {
-            tail.insert(0, x);
-            out.push(tail);
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -127,16 +94,10 @@ impl Policy for Lru {
     fn contents(&self, state: &Self::State) -> Vec<BlockId> {
         state.clone()
     }
-
-    fn states_with_contents(&self, assoc: usize, blocks: &[BlockId]) -> Vec<Self::State> {
-        assert_eq!(blocks.len(), assoc);
-        permutations(blocks)
-    }
 }
 
 /// Wraps a list-based policy ([`Lru`], [`Fifo`]) to enforce a fixed
 /// associativity: any growth past `assoc` evicts the back of the list.
-/// The concrete cache and the metrics exploration both use `Bounded`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bounded<P> {
     /// The underlying policy.
@@ -166,10 +127,6 @@ impl<P: Policy<State = Vec<BlockId>>> Policy for Bounded<P> {
 
     fn contents(&self, state: &Self::State) -> Vec<BlockId> {
         self.inner.contents(state)
-    }
-
-    fn states_with_contents(&self, assoc: usize, blocks: &[BlockId]) -> Vec<Self::State> {
-        self.inner.states_with_contents(assoc, blocks)
     }
 }
 
@@ -213,11 +170,6 @@ impl Policy for Fifo {
     fn contents(&self, state: &Self::State) -> Vec<BlockId> {
         state.clone()
     }
-
-    fn states_with_contents(&self, assoc: usize, blocks: &[BlockId]) -> Vec<Self::State> {
-        assert_eq!(blocks.len(), assoc);
-        permutations(blocks)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -252,32 +204,6 @@ impl Plru {
             let _ = level;
         }
         way
-    }
-
-    /// Canonical way order: recursively swap subtrees so every bit
-    /// becomes `false` (victim = leftmost leaf). Mirroring a subtree and
-    /// flipping its bit is an automorphism of the PLRU automaton, so
-    /// states with equal canonical form are behaviourally equivalent.
-    fn canonical_ways(
-        ways: &[Option<BlockId>],
-        bits: &[bool],
-        node: usize,
-        lo: usize,
-        hi: usize,
-        out: &mut Vec<Option<BlockId>>,
-    ) {
-        if hi - lo == 1 {
-            out.push(ways[lo]);
-            return;
-        }
-        let mid = (lo + hi) / 2;
-        if !bits[node] {
-            Plru::canonical_ways(ways, bits, 2 * node + 1, lo, mid, out);
-            Plru::canonical_ways(ways, bits, 2 * node + 2, mid, hi, out);
-        } else {
-            Plru::canonical_ways(ways, bits, 2 * node + 2, mid, hi, out);
-            Plru::canonical_ways(ways, bits, 2 * node + 1, lo, mid, out);
-        }
     }
 
     /// Flips the bits along the path to `way` so they point *away* from
@@ -337,33 +263,6 @@ impl Policy for Plru {
 
     fn contents(&self, state: &Self::State) -> Vec<BlockId> {
         state.ways.iter().flatten().copied().collect()
-    }
-
-    fn states_with_contents(&self, assoc: usize, blocks: &[BlockId]) -> Vec<Self::State> {
-        assert_eq!(blocks.len(), assoc);
-        let mut out = Vec::new();
-        for perm in permutations(blocks) {
-            for bit_pattern in 0..(1u32 << (assoc - 1)) {
-                let bits = (0..assoc - 1)
-                    .map(|i| (bit_pattern >> i) & 1 == 1)
-                    .collect();
-                out.push(PlruState {
-                    ways: perm.iter().map(|&b| Some(b)).collect(),
-                    bits,
-                });
-            }
-        }
-        out
-    }
-
-    fn fingerprint(&self, state: &Self::State) -> Self::State {
-        let assoc = state.ways.len();
-        let mut ways = Vec::with_capacity(assoc);
-        Plru::canonical_ways(&state.ways, &state.bits, 0, 0, assoc, &mut ways);
-        PlruState {
-            ways,
-            bits: vec![false; assoc - 1],
-        }
     }
 }
 
@@ -440,22 +339,6 @@ impl Policy for Mru {
     fn contents(&self, state: &Self::State) -> Vec<BlockId> {
         state.ways.iter().flatten().copied().collect()
     }
-
-    fn states_with_contents(&self, assoc: usize, blocks: &[BlockId]) -> Vec<Self::State> {
-        assert_eq!(blocks.len(), assoc);
-        let mut out = Vec::new();
-        for perm in permutations(blocks) {
-            // All bit patterns except "all set" (normalised away by mark).
-            for pattern in 0..(1u32 << assoc) - 1 {
-                let bits: Vec<bool> = (0..assoc).map(|i| (pattern >> i) & 1 == 1).collect();
-                out.push(MruState {
-                    ways: perm.iter().map(|&b| Some(b)).collect(),
-                    bits,
-                });
-            }
-        }
-        out
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -526,21 +409,6 @@ impl Policy for RandomPolicy {
 
     fn contents(&self, state: &Self::State) -> Vec<BlockId> {
         state.ways.iter().flatten().copied().collect()
-    }
-
-    fn states_with_contents(&self, assoc: usize, blocks: &[BlockId]) -> Vec<Self::State> {
-        assert_eq!(blocks.len(), assoc);
-        // Eviction choices depend on the draw counter; explore a window.
-        let mut out = Vec::new();
-        for perm in permutations(blocks) {
-            for draws in 0..4 {
-                out.push(RandomState {
-                    ways: perm.iter().map(|&b| Some(b)).collect(),
-                    draws,
-                });
-            }
-        }
-        out
     }
 }
 
@@ -658,22 +526,6 @@ mod tests {
         let a = p.access(&s, 9);
         let b = p.access(&s, 9);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn states_with_contents_counts() {
-        let blocks = [1, 2, 3, 4];
-        assert_eq!(Lru.states_with_contents(4, &blocks).len(), 24);
-        assert_eq!(Fifo.states_with_contents(4, &blocks).len(), 24);
-        assert_eq!(Plru.states_with_contents(4, &blocks).len(), 24 * 8);
-        assert_eq!(Mru.states_with_contents(4, &blocks).len(), 24 * 15);
-    }
-
-    #[test]
-    fn permutations_small() {
-        assert_eq!(permutations(&[]).len(), 1);
-        assert_eq!(permutations(&[1]).len(), 1);
-        assert_eq!(permutations(&[1, 2, 3]).len(), 6);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 
 use predictability_repro::mem::analysis::{analyze_icache, InitialCache};
 use predictability_repro::mem::cache::CacheConfig;
-use predictability_repro::mem::metrics::compute_metrics;
-use predictability_repro::mem::policy::{Bounded, Fifo, Lru, Mru, Plru};
+use predictability_repro::mem::metrics::{compute_metrics, PolicyKind};
 use predictability_repro::tinyisa::cfg::Cfg;
 use predictability_repro::tinyisa::kernels;
 
@@ -13,25 +12,13 @@ fn main() {
     println!("evict / fill by uncertainty-set exploration (k = 4):");
     let k = 4usize;
     let budget = 3 * k as u32 + 2;
-    let lru = compute_metrics(
-        &Bounded {
-            inner: Lru,
-            assoc: k,
-        },
-        k,
-        budget,
-    );
-    let fifo = compute_metrics(
-        &Bounded {
-            inner: Fifo,
-            assoc: k,
-        },
-        k,
-        budget,
-    );
-    let plru = compute_metrics(&Plru, k, budget);
-    let mru = compute_metrics(&Mru, k, 16);
-    for (name, m) in [("LRU", lru), ("FIFO", fifo), ("PLRU", plru), ("MRU", mru)] {
+    for (name, policy, budget) in [
+        ("LRU", PolicyKind::Lru, budget),
+        ("FIFO", PolicyKind::Fifo, budget),
+        ("PLRU", PolicyKind::Plru, budget),
+        ("MRU", PolicyKind::Mru, 16),
+    ] {
+        let m = compute_metrics(policy, k, budget).expect("every policy supports k = 4");
         println!(
             "  {name:<5} evict = {:>4}  fill = {:>4}   ({} initial states explored)",
             m.evict.map_or("inf".into(), |v| v.to_string()),
